@@ -44,9 +44,9 @@ from .bialgebra import (
     cojacobi_defect,
     decompose_derivation,
     delta_r,
+    image_memo,
     inner_derivation_table,
     inner_witness_nonzero_degree,
-    is_skew_mod_central_square,
     match_inner_on_generators,
     special_apply,
     special_derivation_table,

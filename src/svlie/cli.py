@@ -20,18 +20,17 @@ from .bialgebra import (
     CocommutatorSpec,
     SpecialDerivation,
     Tensor2,
-    WindowTooSmallError,
     certify,
     check_axioms,
     check_cybe,
     check_mybe,
     cojacobi_defect,
     decompose_derivation,
+    image_memo,
     window_scan_order,
 )
 from .classify import NOT_CANDIDATE, SearchConfig, classify_highest, highest_component, search_cybe
 from .exprs import (
-    ParseError,
     format as format_value,
     parse_derivation_table,
     parse_element,
@@ -164,9 +163,9 @@ def _cmd_cybe(ns):
 
 
 def _cmd_cojacobi(ns):
-    spec = _spec_from_args(ns)
+    delta = image_memo(_spec_from_args(ns))
     for bv in window_scan_order(ns.window):
-        defect = cojacobi_defect(spec.image_basis, bv)
+        defect = cojacobi_defect(delta, bv)
         if not defect.is_zero:
             text = f"co-Jacobi: fails at {bv}\ndefect: {format_value(defect)}"
             payload = {"command": "cojacobi", "holds": False, "fails_at": str(bv),
@@ -318,13 +317,11 @@ def run(argv=None) -> int:
     try:
         ns = parser.parse_args(argv)
         code, text, payload = _HANDLERS[ns.command](ns)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except WindowTooSmallError as exc:
+    except (UsageError, ValueError) as exc:
+        # ValueError covers the library's input errors: ParseError,
+        # ZeroInputError, NotSkewError, NotHomogeneousError, ZeroDegreeError,
+        # WitnessMismatchError, WindowTooSmallError and the SearchConfig and
+        # basis_window bound checks
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if getattr(ns, "format", "text") == "json":

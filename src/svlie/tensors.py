@@ -114,18 +114,23 @@ def skew_part(t: Tensor2) -> Tensor2:
     return (t - twist(t)) * Fraction(1, 2)
 
 
+def _act2_into(acc: dict, g: BasisVector, cg: Fraction, t: Tensor2) -> None:
+    """Add cg * (g . t) into the canonical term dict acc."""
+    for (a, b), ct in t._terms.items():
+        c = cg * ct
+        hit = bracket_basis(g, a)
+        if hit is not None:
+            _bump(acc, (hit[1], b), c * hit[0])
+        hit = bracket_basis(g, b)
+        if hit is not None:
+            _bump(acc, (a, hit[1]), c * hit[0])
+
+
 def diag_act2(x: Element, t: Tensor2) -> Tensor2:
     """Diagonal adjoint action of x on a rank-2 tensor (Leibniz in each slot)."""
     acc: dict = {}
     for g, cg in x._terms.items():
-        for (a, b), ct in t._terms.items():
-            c = cg * ct
-            hit = bracket_basis(g, a)
-            if hit is not None:
-                _bump(acc, (hit[1], b), c * hit[0])
-            hit = bracket_basis(g, b)
-            if hit is not None:
-                _bump(acc, (a, hit[1]), c * hit[0])
+        _act2_into(acc, g, cg, t)
     return Tensor2._make(acc)
 
 

@@ -4,8 +4,10 @@ from fractions import Fraction as F
 import pytest
 
 from svlie import (
+    AxiomReport,
     BIALGEBRA_NOT_COBOUNDARY,
     CocommutatorSpec,
+    Counterexample,
     DerivationTable,
     Element,
     HalfInt,
@@ -16,11 +18,13 @@ from svlie import (
     SpecialDerivation,
     TRIANGULAR_COBOUNDARY,
     Tensor2,
+    Tensor3,
     WindowTooSmallError,
     WitnessMismatchError,
     Y,
     ZeroDegreeError,
     basis_window,
+    bracket_basis,
     certify,
     check_axioms,
     check_cybe,
@@ -28,10 +32,12 @@ from svlie import (
     coboundary_identity_check,
     cocommutator_apply,
     cojacobi_defect,
+    cyclic,
     decompose_derivation,
     delta_r,
     diag_act2,
     diag_act3,
+    image_memo,
     inner_derivation_table,
     inner_witness_nonzero_degree,
     is_skew,
@@ -40,10 +46,17 @@ from svlie import (
     special_derivation_table,
     strip_central_square,
     wedge,
+    window_scan_order,
     yang_baxter_c,
 )
 
-from gen import rand_skew, rand_special, rand_special_skew, rand_tensor2
+from gen import (
+    rand_nonzero_coeff,
+    rand_skew,
+    rand_special,
+    rand_special_skew,
+    rand_tensor2,
+)
 
 eb = Element.basis
 HALF = F(1, 2)
@@ -353,3 +366,176 @@ def test_certify_mixed_r_and_d():
     assert res.verdict == NOT_BIALGEBRA
     assert not res.report.co_jacobi
     assert res.report.image_skew and res.report.compatibility
+
+
+def reference_check_axioms(subject, window) -> AxiomReport:
+    """Plain per-pair axiom checks that recompute every image they use;
+    the reference check_axioms must agree with."""
+    bound = HalfInt.of(window)
+    scan = window_scan_order(bound)
+    if isinstance(subject, DerivationTable):
+        for bv in scan:
+            if subject.image(bv) is None:
+                raise WindowTooSmallError(f"no image for {bv} inside window {bound}")
+        delta = subject.image
+    else:
+        delta = subject.image_basis
+    failures = []
+
+    image_skew = True
+    for bv in scan:
+        img = delta(bv)
+        if not is_skew(img):
+            image_skew = False
+            failures.append(Counterexample("image_skew", (bv,), img))
+            break
+
+    co_jacobi = True
+    for bv in scan:
+        img = delta(bv)
+        parts = {b: delta(b) for (_, b) in img._terms}
+        if any(p is None for p in parts.values()):
+            continue
+        w = Tensor3.zero()
+        for (a, b), c in img._terms.items():
+            w = w + Tensor3([((a, u, v), c * c2) for (u, v), c2 in parts[b]._terms.items()])
+        cw = cyclic(w)
+        defect = w + cw + cyclic(cw)
+        if not defect.is_zero:
+            co_jacobi = False
+            failures.append(Counterexample("co_jacobi", (bv,), defect))
+            break
+
+    compatibility = True
+    done = False
+    for i, x in enumerate(scan):
+        if done:
+            break
+        for y in scan[i + 1:]:
+            hit = bracket_basis(x, y)
+            if hit is None:
+                lhs = Tensor2.zero()
+            else:
+                c, z = hit
+                img = delta(z)
+                if img is None:
+                    continue
+                lhs = img * c
+            defect = lhs - diag_act2(eb(x), delta(y)) + diag_act2(eb(y), delta(x))
+            if not defect.is_zero:
+                compatibility = False
+                failures.append(Counterexample("compatibility", (x, y), defect))
+                done = True
+                break
+
+    return AxiomReport(image_skew, co_jacobi, compatibility,
+                       failures[0] if failures else None)
+
+
+def _square_table(window) -> DerivationTable:
+    # L[n] -> n^2 M[0]^M[n]: skew images and co-Jacobi hold, but n^2 is not
+    # linear in n, so the compatibility identity fails
+    def image(bv):
+        if bv.kind != "L":
+            return Tensor2.zero()
+        n = bv.index.as_fraction
+        return wedge(M(0), M(bv.index)) * (n * n)
+    return DerivationTable.from_callable(image, window)
+
+
+def _differential_subjects():
+    rng = random.Random(21)
+    subjects = [
+        (CocommutatorSpec(wedge(M(1), Y(HALF)), SpecialDerivation.zero()), 6),
+        (CocommutatorSpec(Tensor2.zero(), SpecialDerivation(1, -1, 1, -1, 2, -2)), 4),
+        (CocommutatorSpec(wedge(L(1), L(-1)), SpecialDerivation.zero()), 3),
+        (CocommutatorSpec(wedge(M(1), Y(HALF)), SpecialDerivation(0, 0, 2, -2, 0, 0)), 3),
+        (CocommutatorSpec(Tensor2.zero(), SpecialDerivation(1, 1, 0, 0, 0, 0)), 3),
+        (_square_table(6), 3),
+        (_square_table(3), 3),
+    ]
+    for _ in range(6):
+        subjects.append((CocommutatorSpec(rand_skew(rng, 2, max_pairs=2),
+                                          rand_special_skew(rng)), 2))
+        subjects.append((CocommutatorSpec(rand_tensor2(rng, 1, max_terms=2),
+                                          rand_special(rng)), 2))
+        subjects.append((special_derivation_table(rand_special(rng), 4), 2))
+        subjects.append((inner_derivation_table(rand_skew(rng, 1, max_pairs=2), 3), 3))
+        subjects.append((inner_derivation_table(rand_tensor2(rng, 1, max_terms=2), 2), 2))
+    return subjects
+
+
+def test_check_axioms_matches_reference_loop():
+    seen = set()
+    for subject, window in _differential_subjects():
+        fast = check_axioms(subject, window)
+        assert fast == reference_check_axioms(subject, window)
+        if fast.counterexample is not None:
+            seen.add(fast.counterexample.axiom)
+    assert seen == {"image_skew", "co_jacobi", "compatibility"}
+
+
+def test_check_axioms_computes_each_image_once(monkeypatch):
+    calls = {}
+    original = CocommutatorSpec.image_basis
+
+    def counting(self, bv):
+        calls[bv] = calls.get(bv, 0) + 1
+        return original(self, bv)
+
+    monkeypatch.setattr(CocommutatorSpec, "image_basis", counting)
+    for spec in (CocommutatorSpec(wedge(M(1), Y(HALF)), SpecialDerivation.zero()),
+                 CocommutatorSpec(wedge(L(0), M(1)), SpecialDerivation(1, -1, 1, -1, 2, -2))):
+        calls.clear()
+        check_axioms(spec, 6)
+        assert calls and max(calls.values()) == 1
+
+
+def test_certify_window_floor():
+    spec = CocommutatorSpec(wedge(L(1), L(-1)), SpecialDerivation.zero())
+    for window in (0, HALF, 1, F(3, 2)):
+        with pytest.raises(WindowTooSmallError):
+            certify(spec, window)
+    assert certify(spec, 2).verdict == NOT_BIALGEBRA
+
+
+def test_certify_window_two_agrees_with_window_six():
+    # r has at most two wedges inside window 2, drawn from the whole window
+    # or from the Y and M vectors alone, where Yang-Baxter solutions are
+    # common, so that every verdict occurs
+    rng = random.Random(12)
+    window = basis_window(2)
+    ideal = [bv for bv in window if bv.kind != "L"]
+    verdicts = set()
+    for i in range(30):
+        pool = window if i % 2 else ideal
+        r = Tensor2.zero()
+        for _ in range(rng.randint(1, 2)):
+            u, w = rng.sample(pool, 2)
+            r = r + wedge(u, w) * rand_nonzero_coeff(rng)
+        d = rand_special_skew(rng) if i % 3 else SpecialDerivation.zero()
+        spec = CocommutatorSpec(r, d)
+        verdict = certify(spec, 2).verdict
+        assert verdict == certify(spec, 6).verdict
+        verdicts.add(verdict)
+    assert verdicts == {TRIANGULAR_COBOUNDARY, BIALGEBRA_NOT_COBOUNDARY, NOT_BIALGEBRA}
+
+
+def test_cojacobi_obstruction_is_a_cocycle():
+    # J(x) = cojacobi_defect at x satisfies J([x, y]) = x . J(y) - y . J(x)
+    # whenever Delta is a cocycle with skew images: certify's window floor
+    # rests on it
+    rng = random.Random(13)
+    window = basis_window(1)
+    nonzero = 0
+    for _ in range(3):
+        spec = CocommutatorSpec(rand_skew(rng, 1, max_pairs=2), rand_special_skew(rng))
+        delta = image_memo(spec)
+        jac = {x: cojacobi_defect(delta, x) for x in window}
+        nonzero += sum(1 for j in jac.values() if j)
+        for x in window:
+            for y in window:
+                hit = bracket_basis(x, y)
+                lhs = Tensor3.zero() if hit is None else cojacobi_defect(delta, hit[1]) * hit[0]
+                assert lhs == diag_act3(eb(x), jac[y]) - diag_act3(eb(y), jac[x])
+    assert nonzero

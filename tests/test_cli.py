@@ -164,3 +164,19 @@ def test_usage_errors_exit_2(capsys):
     assert invoke(capsys, "certify", "--window", "3")[0] == 2  # needs --r or --d
     assert invoke(capsys, "search", "--window", "x", "--coeffs", "1",
                   "--max-terms", "1")[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "0"],
+    ["classify", "L[1] (x) L[2]"],
+    ["search", "--window", "1", "--coeffs", "1", "--max-terms", "0"],
+    ["search", "--window", "1", "--coeffs", "1", "--max-terms", "1", "--jobs", "0"],
+    ["invariants", "--rank", "2", "--window", "-1"],
+    ["certify", "--r", "L[1] (x) L[-1] - L[-1] (x) L[1]", "--window", "0"],
+])
+def test_library_input_errors_exit_2(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
