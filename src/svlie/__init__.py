@@ -19,7 +19,6 @@ from .algebra import (
     basis_window,
     bracket,
     bracket_basis,
-    degree_decompose,
     is_central,
 )
 from .bialgebra import (

@@ -341,11 +341,6 @@ def bracket(x: Element, y: Element) -> Element:
     return Element._make(acc)
 
 
-def degree_decompose(x: Element) -> dict[HalfInt, Element]:
-    """Homogeneous components of x, keyed by degree (no zero components)."""
-    return x.graded_components()
-
-
 def is_central(x: Element) -> bool:
     """True iff x is a scalar multiple of M_0 (the center of the algebra)."""
     return all(bv.kind == "M" and bv.index.twice == 0 for bv in x._terms)

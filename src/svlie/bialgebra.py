@@ -35,7 +35,7 @@ from .algebra import (
     basis_window,
     bracket_basis,
 )
-from .linalg import _act_key, _key_degree, _solve, TensorWindowBasis
+from .linalg import _action_rows, _by_degree, _key_degree, _solve, TensorWindowBasis
 from .tensors import (
     NotSkewError,
     Tensor2,
@@ -48,7 +48,6 @@ from .tensors import (
     yang_baxter_c,
 )
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 _MINUS_ONE = Fraction(-1)
 _M0 = M(0)
@@ -447,77 +446,42 @@ def inner_witness_nonzero_degree(t_alpha: DerivationTable, a) -> Tensor2:
     return v
 
 
-def match_inner_on_generators(t: DerivationTable, bound, full_space: bool = False) -> Tensor2 | None:
+def match_inner_on_generators(t: DerivationTable, bound) -> Tensor2 | None:
     """Exact search for v with x . v = t(x) on the five generators.
 
     Candidate tensors have both factor indices bounded by `bound`.  The
-    default mode solves one small system per candidate degree (the action of
-    a homogeneous generator shifts degree by a fixed amount, so the joint
-    system is block diagonal); `full_space=True` solves the single unblocked
-    system as a cross-check.  A returned witness has no M_0 (x) M_0
-    component, which the action annihilates anyway.  None means no witness
-    exists on this window.
+    action of a homogeneous generator g shifts degree by its index, so a
+    target term of degree q constrains only the witness part of degree
+    q - deg(g): one small system is solved per such degree.  A returned
+    witness has no M_0 (x) M_0 component, which the action annihilates
+    anyway.  None means no witness exists on this window.
     """
-    bound = HalfInt.of(bound)
-    targets = {}
-    for g in GENERATORS:
+    blocks = _by_degree(TensorWindowBasis(2, bound).keys)
+    targets: dict[HalfInt, list] = {}
+    for gi, g in enumerate(GENERATORS):
         img = t.image(g)
         if img is None:
             raise WindowTooSmallError(f"table does not cover the generator {g}")
-        targets[g] = img
-
-    window = TensorWindowBasis(2, bound)
-    blocks: dict[HalfInt, list[tuple]] = {}
-    for key in window.keys:
-        blocks.setdefault(_key_degree(key), []).append(key)
-
-    needed: set[HalfInt] = set()
-    for g, img in targets.items():
-        for deg in img.graded_components():
-            needed.add(deg - g.index)
-    if any(d not in blocks for d in needed):
+        for out_key, c in img._terms.items():
+            targets.setdefault(_key_degree(out_key) - g.index, []).append((gi, out_key, c))
+    if any(d not in blocks for d in targets):
         return None
-
-    if full_space:
-        groups = [window.keys] if window.keys else []
-    else:
-        groups = [blocks[d] for d in sorted(needed)]
 
     acc: dict = {}
-    for block in groups:
-        sol = _match_block(block, targets, restrict=not full_space)
-        if sol is None:
+    for d in sorted(targets):
+        block = blocks[d]
+        rows = _action_rows(block)
+        for gi, out_key, c in targets[d]:
+            _bump(rows.setdefault((gi, out_key), {}), len(block), c)
+        x = _solve(rows.values(), len(block))
+        if x is None:
             return None
-        for key, c in sol.items():
-            acc[key] = acc.get(key, _ZERO) + c
+        acc.update((key, c) for key, c in zip(block, x) if c)
     v = Tensor2(list(acc.items()))
-    for g, img in targets.items():
-        if diag_act2(Element.basis(g), v) != img:
+    for g in GENERATORS:
+        if diag_act2(Element.basis(g), v) != t.image(g):
             return None
     return v
-
-
-def _match_block(block: list[tuple], targets: dict, restrict: bool) -> dict | None:
-    degrees = {_key_degree(key) for key in block}
-    rows: dict = {}
-    for j, key in enumerate(block):
-        for gi, g in enumerate(GENERATORS):
-            for out_key, c in _act_key(g, key):
-                row = rows.setdefault((gi, out_key), {})
-                row[j] = row.get(j, _ZERO) + c
-    ncols = len(block)
-    for gi, g in enumerate(GENERATORS):
-        img = targets[g]
-        for out_key, c in img._terms.items():
-            deg = _key_degree(out_key) - g.index
-            if restrict and deg not in degrees:
-                continue  # handled by (or fatal to) another block
-            row = rows.setdefault((gi, out_key), {})
-            row[ncols] = row.get(ncols, _ZERO) + c
-    x = _solve(rows.values(), ncols)
-    if x is None:
-        return None
-    return {key: c for key, c in zip(block, x) if c}
 
 
 TRIANGULAR_COBOUNDARY = "TriangularCoboundary"

@@ -19,7 +19,9 @@ where u^w abbreviates u (x) w - w (x) u.  A top component lying in none of
 the spans cannot head a solution, which `classify_highest` reports as
 NotCandidate.  When spans overlap, the minimal ones are reported (a label
 whose span strictly contains another matching label's span is dropped), so
-a pure M (x) Y top is V8 rather than V7 even when both apply.
+a pure M (x) Y top is V8 rather than V7 even when both apply.  Every span is
+spanned by wedges on distinct unordered pairs {u, w}, so membership and
+containment are exact inclusions of pair sets, with no linear solve.
 
 `search_cybe` enumerates skew candidates built from elementary wedges with
 bounded indices and bounded term count, filters them through the exact
@@ -30,15 +32,13 @@ that is independent of the worker count.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import BasisVector, HalfInt, L, M, Y, basis_window
-from .linalg import RationalMatrix
-from .tensors import NotSkewError, Tensor2, canonical_key, is_skew, wedge, yang_baxter_c
-
-_ZERO = Fraction(0)
+from .algebra import HalfInt, L, M, Y, basis_window
+from .tensors import NotSkewError, Tensor2, canonical_key, is_skew, yang_baxter_c
 
 NOT_CANDIDATE = "NotCandidate"
 _FAMILIES = ("V1", "V2", "V3", "V4", "V5", "V6", "V7", "V8", NOT_CANDIDATE)
@@ -88,63 +88,36 @@ def highest_component(r: Tensor2) -> tuple[HalfInt, Tensor2]:
     return p, comps[p]
 
 
-def _span_rows(vectors: list[Tensor2]):
-    support = sorted({key for v in vectors for key in v._terms},
-                     key=Tensor2._sort_key)
-    pos = {key: i for i, key in enumerate(support)}
-    cols = []
-    for v in vectors:
-        col = [_ZERO] * len(support)
-        for key, c in v._terms.items():
-            col[pos[key]] = c
-        cols.append(col)
-    return support, pos, cols
+def _pairs(*wedges) -> frozenset:
+    """The unordered pairs {u, w} of the wedges u^w given as (u, w); the
+    zero wedge u^u has no pair."""
+    return frozenset(frozenset(uw) for uw in wedges if uw[0] != uw[1])
 
 
-def _in_span(t: Tensor2, vectors: list[Tensor2]) -> bool:
-    vectors = [v for v in vectors if not v.is_zero]
-    if t.is_zero:
-        return True
-    if not vectors:
-        return False
-    support, pos, cols = _span_rows(vectors)
-    rhs = [_ZERO] * len(support)
-    for key, c in t._terms.items():
-        if key not in pos:
-            return False
-        rhs[pos[key]] = c
-    return RationalMatrix.from_columns(cols, len(support)).solve(rhs) is not None
-
-
-def _span_contained(inner: list[Tensor2], outer: list[Tensor2]) -> bool:
-    return all(_in_span(v, outer) for v in inner)
-
-
-def _labeled_spans(p: HalfInt, r_p: Tensor2) -> list[tuple[ClassLabel, list[Tensor2]]]:
+def _labeled_spans(p: HalfInt, r_p: Tensor2) -> list[tuple[ClassLabel, frozenset]]:
     out = []
     if p.is_integer:
-        ll = wedge(L(p), L(0))
-        ml = wedge(M(0), L(p))
-        lm = wedge(L(0), M(p))
-        mm = wedge(M(0), M(p))
-        out.append((ClassLabel("V1", p), [ll, ml]))
-        out.append((ClassLabel("V2", p), [ll, lm]))
-        out.append((ClassLabel("V3", p), [ml, mm]))
-        out.append((ClassLabel("V4", p), [lm, mm]))
+        ll = (L(p), L(0))
+        ml = (M(0), L(p))
+        lm = (L(0), M(p))
+        mm = (M(0), M(p))
+        out.append((ClassLabel("V1", p), _pairs(ll, ml)))
+        out.append((ClassLabel("V2", p), _pairs(ll, lm)))
+        out.append((ClassLabel("V3", p), _pairs(ml, mm)))
+        out.append((ClassLabel("V4", p), _pairs(lm, mm)))
         js = sorted({key[0].index for key in r_p._terms
                      if key[0].kind == "M" and key[1].kind == "M"})
-        v5 = [wedge(M(j), M(p - j)) for j in js]
-        out.append((ClassLabel("V5", p), v5))
+        out.append((ClassLabel("V5", p), _pairs(*((M(j), M(p - j)) for j in js))))
     else:
-        out.append((ClassLabel("V6", p), [wedge(L(0), Y(p)), wedge(M(0), Y(p))]))
+        out.append((ClassLabel("V6", p), _pairs((L(0), Y(p)), (M(0), Y(p)))))
         if p.twice % 3 == 0:
             i7 = HalfInt(p.twice // 3 * 2)
             third = HalfInt(p.twice // 3)
-            out.append((ClassLabel("V7", p), [wedge(L(i7), Y(third)), wedge(M(i7), Y(third))]))
+            out.append((ClassLabel("V7", p), _pairs((L(i7), Y(third)), (M(i7), Y(third)))))
         i_vals = sorted({key[0].index for key in r_p._terms
                          if key[0].kind == "M" and key[1].kind == "Y"})
         for i in i_vals:
-            out.append((ClassLabel("V8", p, i.twice // 2), [wedge(M(i), Y(p - i))]))
+            out.append((ClassLabel("V8", p, i.twice // 2), _pairs((M(i), Y(p - i)))))
     return out
 
 
@@ -153,26 +126,25 @@ def classify_highest(r_p: Tensor2, p) -> set[ClassLabel]:
 
     Returns {NotCandidate} when r_p lies in none of them, meaning r_p cannot
     be the top component of any Yang-Baxter solution.
+
+    Every listed span is spanned by wedges u^w, and wedges on distinct
+    unordered pairs {u, w} have disjoint supports, so they are linearly
+    independent.  A skew tensor is the sum over its support pairs {u, w} of
+    a multiple of u^w.  So a skew r_p lies in a span exactly when its
+    support pairs are among the span's pairs, and one span lies in another
+    exactly when its pair set does: both tests are set inclusions.
     """
     p = HalfInt.of(p)
     if r_p.is_zero or r_p.homogeneous_degree() != p:
         raise NotHomogeneousError(f"expected a nonzero homogeneous tensor of degree {p}")
     if not is_skew(r_p):
-        raise NotSkewError("top components of skew tensors are skew")
+        raise NotSkewError(
+            f"classify needs a skew tensor; its degree-{p} component {r_p} is not skew")
 
-    matched = [(label, span) for label, span in _labeled_spans(p, r_p)
-               if _in_span(r_p, span)]
-    keep = []
-    for la, sa in matched:
-        redundant = any(
-            lb != la and _span_contained(sb, sa) and not _span_contained(sa, sb)
-            for lb, sb in matched
-        )
-        if not redundant:
-            keep.append(la)
-    if not keep:
-        return {ClassLabel(NOT_CANDIDATE, p)}
-    return set(keep)
+    support = _pairs(*r_p._terms)
+    matched = [(label, span) for label, span in _labeled_spans(p, r_p) if support <= span]
+    keep = {la for la, sa in matched if not any(sb < sa for _, sb in matched)}
+    return keep or {ClassLabel(NOT_CANDIDATE, p)}
 
 
 @dataclass(frozen=True)
@@ -229,13 +201,15 @@ def search_cybe(cfg: SearchConfig) -> list[Tensor2]:
     """All enumerated skew candidates satisfying the Yang-Baxter equation.
 
     The result is deterministic regardless of `jobs`: the candidate list is
-    fixed and workers only evaluate the exact membership test.
+    fixed and workers only evaluate the exact membership test.  At most
+    `os.cpu_count()` worker processes start, however large `jobs` is.
     """
     cands = enumerate_skew_candidates(cfg)
-    if cfg.jobs > 1 and len(cands) > 1:
-        size = -(-len(cands) // cfg.jobs)
+    workers = min(cfg.jobs, os.cpu_count() or 1)
+    if workers > 1 and len(cands) > 1:
+        size = -(-len(cands) // workers)
         chunks = [cands[i:i + size] for i in range(0, len(cands), size)]
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_cybe_flags, chunks))
         flags = [f for part in parts for f in part]
     else:

@@ -15,7 +15,9 @@ window solvers that corroborate structural facts about the algebra:
 
 Both solvers split their constraint systems into independent blocks per
 total degree (the action of a homogeneous generator shifts degree by a fixed
-amount), which keeps each elimination small.
+amount), which keeps each elimination small.  One builder, `_action_rows`,
+writes the generator action rows of a block for both solvers and for the
+inner-witness matcher in `bialgebra`.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .algebra import (
     Element,
     HalfInt,
     _as_frac,
+    _bump,
     basis_window,
     bracket_basis,
 )
@@ -186,10 +189,7 @@ class TensorWindowBasis:
         return out
 
     def from_coords(self, coords):
-        items = [(key, c) for key, c in zip(self.keys, coords) if c]
-        if self.rank == 1:
-            return Element((k[0], c) for k, c in items)
-        return (Tensor2 if self.rank == 2 else Tensor3)(items)
+        return _tensor(self.rank, zip(self.keys, coords))
 
 
 def _act_key(g: BasisVector, key: tuple) -> list[tuple[tuple, Fraction]]:
@@ -206,16 +206,46 @@ def _key_degree(key: tuple) -> HalfInt:
     return HalfInt(sum(v.index.twice for v in key))
 
 
-def _normalized(t):
-    lead = t.terms()[0][1]
-    return t * (1 / lead)
-
-
 def _by_degree(keys) -> dict[HalfInt, list[tuple]]:
     blocks: dict[HalfInt, list[tuple]] = {}
     for key in keys:
         blocks.setdefault(_key_degree(key), []).append(key)
     return blocks
+
+
+def _tensor(rank: int, items):
+    """The rank-1, 2 or 3 tensor with the given (key, coefficient) items."""
+    items = [(key, c) for key, c in items if c]
+    if rank == 1:
+        return Element((k[0], c) for k, c in items)
+    return (Tensor2 if rank == 2 else Tensor3)(items)
+
+
+def _action_rows(block: list[tuple], fold=None) -> dict:
+    """The diagonal action of the generators on the span of `block`.
+
+    One sparse row per (generator index, output key): its entry at column j
+    is the coefficient of that key in g . block[j].  `fold` maps output keys
+    to the keys the rows are collected under.
+    """
+    rows: dict = {}
+    for j, key in enumerate(block):
+        for gi, g in enumerate(GENERATORS):
+            for out_key, c in _act_key(g, key):
+                if fold is not None:
+                    out_key = fold(out_key)
+                _bump(rows.setdefault((gi, out_key), {}), j, c)
+    return rows
+
+
+def _kernel(block: list[tuple], rank: int, fold=None) -> list:
+    """Basis of the span of `block` on which every row of `_action_rows`
+    vanishes, each vector normalized to leading coefficient 1."""
+    out = []
+    for v in _nullspace(_rref(_action_rows(block, fold).values()), len(block)):
+        t = _tensor(rank, zip(block, v))
+        out.append(t * (1 / t.terms()[0][1]))
+    return out
 
 
 def invariant_tensors(rank: int, bound) -> list:
@@ -225,31 +255,13 @@ def invariant_tensors(rank: int, bound) -> list:
     invariant under the full diagonal action.  Returned vectors are
     normalized to leading coefficient 1 and sorted canonically.
     """
-    window = TensorWindowBasis(rank, bound)
-    blocks = _by_degree(window.keys)
-    found = []
-    for deg in sorted(blocks):
-        found.extend(_invariant_block(blocks[deg], rank))
-    return sorted(found, key=canonical_key)
+    blocks = _by_degree(TensorWindowBasis(rank, bound).keys).values()
+    return sorted((t for block in blocks for t in _kernel(block, rank)), key=canonical_key)
 
 
-def _invariant_block(block: list[tuple], rank: int) -> list:
-    rows: dict = {}
-    for j, key in enumerate(block):
-        for gi, g in enumerate(GENERATORS):
-            for out_key, c in _act_key(g, key):
-                row = rows.setdefault((gi, out_key), {})
-                row[j] = row.get(j, _ZERO) + c
-    pivots = _rref(rows.values())
-    out = []
-    for v in _nullspace(pivots, len(block)):
-        items = [(key, c) for key, c in zip(block, v) if c]
-        if rank == 1:
-            t = Element((k[0], c) for k, c in items)
-        else:
-            t = (Tensor2 if rank == 2 else Tensor3)(items)
-        out.append(_normalized(t))
-    return out
+def _unordered(key: tuple) -> tuple:
+    a, b = key
+    return key if a.sort_key <= b.sort_key else (b, a)
 
 
 def skew_action_space(bound) -> list[Tensor2]:
@@ -259,24 +271,6 @@ def skew_action_space(bound) -> list[Tensor2]:
     unordered output pairs.  Expected to equal the skew tensors of the
     window plus the line through M_0 (x) M_0.
     """
-    window = TensorWindowBasis(2, bound)
-    found = []
-    blocks = _by_degree(window.keys)
-    for deg in sorted(blocks):
-        block = blocks[deg]
-        rows: dict = {}
-        for j, key in enumerate(block):
-            for gi, g in enumerate(GENERATORS):
-                for (a, b), c in _act_key(g, key):
-                    rkey = (gi, (a, b) if a.sort_key <= b.sort_key else (b, a))
-                    row = rows.setdefault(rkey, {})
-                    nv = row.get(j, _ZERO) + c
-                    if nv:
-                        row[j] = nv
-                    else:
-                        row.pop(j, None)
-        pivots = _rref(rows.values())
-        for v in _nullspace(pivots, len(block)):
-            t = Tensor2((key, c) for key, c in zip(block, v) if c)
-            found.append(_normalized(t))
-    return sorted(found, key=canonical_key)
+    blocks = _by_degree(TensorWindowBasis(2, bound).keys).values()
+    return sorted((t for block in blocks for t in _kernel(block, 2, _unordered)),
+                  key=canonical_key)

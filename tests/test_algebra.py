@@ -13,7 +13,6 @@ from svlie import (
     Y,
     basis_window,
     bracket,
-    degree_decompose,
     is_central,
 )
 
@@ -129,19 +128,19 @@ def test_bracket_bilinear(x, y, z):
 
 def test_degree_decompose_examples():
     both = Element([(L(2), 1), (M(2), 1)])
-    assert degree_decompose(both) == {HalfInt.of(2): both}
+    assert both.graded_components() == {HalfInt.of(2): both}
     mixed = Element([(L(1), 1), (Y(F(1, 2)), 1)])
-    assert degree_decompose(mixed) == {
+    assert mixed.graded_components() == {
         HalfInt.of(1): eb(L(1)),
         HalfInt.of(F(1, 2)): eb(Y(F(1, 2))),
     }
-    assert degree_decompose(Element.zero()) == {}
+    assert Element.zero().graded_components() == {}
 
 
 @settings(max_examples=40)
 @given(elements(bound=4, max_terms=6))
 def test_degree_decompose_reassembles(x):
-    parts = degree_decompose(x)
+    parts = x.graded_components()
     total = Element.zero()
     for d, part in parts.items():
         assert not part.is_zero

@@ -10,15 +10,18 @@ from svlie import (
     Counterexample,
     DerivationTable,
     Element,
+    GENERATORS,
     HalfInt,
     L,
     M,
     NOT_BIALGEBRA,
     NotSkewError,
+    RationalMatrix,
     SpecialDerivation,
     TRIANGULAR_COBOUNDARY,
     Tensor2,
     Tensor3,
+    TensorWindowBasis,
     WindowTooSmallError,
     WitnessMismatchError,
     Y,
@@ -317,18 +320,58 @@ def test_match_inner_requires_generator_images():
         match_inner_on_generators(small, 2)  # L[2] image missing
 
 
+def reference_match_unblocked(t, bound):
+    """The inner-witness search as one unblocked exact system over every
+    rank-2 key of the window, with the free variables at zero."""
+    keys = TensorWindowBasis(2, bound).keys
+    rows = {}
+    for j, key in enumerate(keys):
+        for gi, g in enumerate(GENERATORS):
+            for pos in range(2):
+                hit = bracket_basis(g, key[pos])
+                if hit is not None:
+                    out = key[:pos] + (hit[1],) + key[pos + 1:]
+                    row = rows.setdefault((gi, out), {})
+                    row[j] = row.get(j, F(0)) + hit[0]
+    rhs = {}
+    for gi, g in enumerate(GENERATORS):
+        for out, c in t.image(g)._terms.items():
+            rows.setdefault((gi, out), {})
+            rhs[(gi, out)] = c
+    order = list(rows)
+    mat = RationalMatrix(len(order), len(keys),
+                         [{j: c for j, c in rows[k].items() if c} for k in order])
+    x = mat.solve([rhs.get(k, F(0)) for k in order])
+    if x is None:
+        return None
+    v = Tensor2([(key, c) for key, c in zip(keys, x) if c])
+    if any(diag_act2(Element.basis(g), v) != t.image(g) for g in GENERATORS):
+        return None
+    return v
+
+
 def test_match_inner_full_space_cross_check():
     rng = random.Random(10)
     for _ in range(4):
         v = rand_tensor2(rng, 1, max_terms=3)
         table = inner_derivation_table(v, 2)
         blocked = match_inner_on_generators(table, 2)
-        unblocked = match_inner_on_generators(table, 2, full_space=True)
-        assert blocked == unblocked
+        assert blocked == reference_match_unblocked(table, 2)
         assert blocked == strip_central_square(v)
+    for _ in range(4):
+        # witnesses outside the candidate window, and non-inner tables
+        v = rand_tensor2(rng, 2, max_terms=3)
+        d = rand_special(rng)
+        for table in (inner_derivation_table(v, 2),
+                      DerivationTable.from_callable(
+                          lambda bv: diag_act2(Element.basis(bv), v) + d.apply_basis(bv), 2)):
+            for bound in (1, 2):
+                assert (match_inner_on_generators(table, bound)
+                        == reference_match_unblocked(table, bound))
     d = SpecialDerivation(0, 0, 1, 0, 0, 0)
     table = special_derivation_table(d, 2)
-    assert match_inner_on_generators(table, 2, full_space=True) is None
+    assert reference_match_unblocked(table, 2) is None
+    assert match_inner_on_generators(table, 2) is None
 
 
 def test_certify_examples():
