@@ -19,6 +19,7 @@ and is then exact (its docstring gives the argument).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -281,11 +282,11 @@ class DerivationTable:
     @classmethod
     def from_entries(cls, images: dict[BasisVector, Tensor2]) -> "DerivationTable":
         """Infer the window as the largest bound fully covered by `images`."""
-        t = 0
-        while _covered(images, t + 1):
-            t += 1
-        if not _covered(images, 0):
+        if any(bv not in images for bv in basis_window(0)):
             raise WindowTooSmallError("table must define images for L[0] and M[0]")
+        t = 0
+        while all(bv in images for bv in basis_window(HalfInt(t + 1))):
+            t += 1
         return cls(HalfInt(t), images)
 
     def image(self, bv: BasisVector) -> Tensor2 | None:
@@ -293,14 +294,6 @@ class DerivationTable:
 
     def items(self) -> list[tuple[BasisVector, Tensor2]]:
         return sorted(self.images.items(), key=lambda kv: kv[0].sort_key)
-
-
-def _covered(images: dict, t: int) -> bool:
-    if t % 2:
-        need = [BasisVector("Y", HalfInt(s * t)) for s in (1, -1)]
-    else:
-        need = [BasisVector(k, HalfInt(s * t)) for k in ("L", "M") for s in ((1, -1) if t else (1,))]
-    return all(bv in images for bv in need)
 
 
 def inner_derivation_table(v: Tensor2, window) -> DerivationTable:
@@ -336,12 +329,9 @@ def image_memo(subject):
     return delta
 
 
-def _compatibility_defect(delta, x: BasisVector, dx: Tensor2,
-                          y: BasisVector) -> Tensor2 | None:
-    """Delta([x, y]) - x . Delta(y) + y . Delta(x), with dx = Delta(x).
-
-    None when `delta` has no image for [x, y]; zero when the identity holds.
-    """
+def _compatibility_defect(delta, x: BasisVector, y: BasisVector) -> Tensor2 | None:
+    """Delta([x, y]) - x . Delta(y) + y . Delta(x), zero when the identity
+    holds; None when `delta` has no image for [x, y]."""
     acc: dict = {}
     hit = bracket_basis(x, y)
     if hit is not None:
@@ -352,8 +342,30 @@ def _compatibility_defect(delta, x: BasisVector, dx: Tensor2,
         # c and every coefficient of dz are nonzero, so acc stays canonical
         acc = {key: v * c for key, v in dz._terms.items()}
     _act2_into(acc, x, _MINUS_ONE, delta(y))
-    _act2_into(acc, y, _ONE, dx)
+    _act2_into(acc, y, _ONE, delta(x))
     return Tensor2._make(acc)
+
+
+def _first_failure(axiom: str, inputs, defect) -> Counterexample | None:
+    """The first tuple of basis vectors in `inputs` on which `defect` is
+    nonzero; None from `defect` means the check cannot be expressed there."""
+    for args in inputs:
+        value = defect(*args)
+        if value:
+            return Counterexample(axiom, args, value)
+    return None
+
+
+def _first_non_skew(scan, delta) -> Counterexample | None:
+    """The first basis vector of `scan` whose image is not skew."""
+    return _first_failure("image_skew", ((bv,) for bv in scan),
+                          lambda bv: None if is_skew(delta(bv)) else delta(bv))
+
+
+def _first_cojacobi_failure(scan, delta) -> Counterexample | None:
+    """The first basis vector of `scan` where co-Jacobi fails."""
+    return _first_failure("co_jacobi", ((bv,) for bv in scan),
+                          lambda bv: cojacobi_defect(delta, bv))
 
 
 def check_axioms(subject, window=6) -> AxiomReport:
@@ -363,7 +375,8 @@ def check_axioms(subject, window=6) -> AxiomReport:
     `subject` is a CocommutatorSpec (images computed on demand, all checks
     exact) or a DerivationTable (co-Jacobi and compatibility are checked only
     where every needed image is available).  Each image is computed once per
-    call.  The first failure in scan order is recorded as the counterexample.
+    call.  The counterexample is the first failure in scan order of the
+    first failing check, in the order image skew, co-Jacobi, compatibility.
     """
     bound = HalfInt.of(window)
     scan = window_scan_order(bound)
@@ -372,41 +385,11 @@ def check_axioms(subject, window=6) -> AxiomReport:
         for bv in scan:
             if delta(bv) is None:
                 raise WindowTooSmallError(f"no image for {bv} inside window {bound}")
-
-    failures: list[Counterexample] = []
-
-    image_skew = True
-    for bv in scan:
-        img = delta(bv)
-        if not is_skew(img):
-            image_skew = False
-            failures.append(Counterexample("image_skew", (bv,), img))
-            break
-
-    co_jacobi = True
-    for bv in scan:
-        defect = cojacobi_defect(delta, bv)
-        if defect is None:
-            continue  # table window cannot express this check
-        if not defect.is_zero:
-            co_jacobi = False
-            failures.append(Counterexample("co_jacobi", (bv,), defect))
-            break
-
-    compatibility = True
-    for i, x in enumerate(scan):
-        dx = delta(x)
-        for y in scan[i + 1:]:
-            defect = _compatibility_defect(delta, x, dx, y)
-            if defect:
-                compatibility = False
-                failures.append(Counterexample("compatibility", (x, y), defect))
-                break
-        if not compatibility:
-            break
-
-    return AxiomReport(image_skew, co_jacobi, compatibility,
-                       failures[0] if failures else None)
+    skew = _first_non_skew(scan, delta)
+    jacobi = _first_cojacobi_failure(scan, delta)
+    compat = _first_failure("compatibility", itertools.combinations(scan, 2),
+                            lambda x, y: _compatibility_defect(delta, x, y))
+    return AxiomReport(skew is None, jacobi is None, compat is None, skew or jacobi or compat)
 
 
 def decompose_derivation(t: DerivationTable) -> dict[HalfInt, DerivationTable]:
@@ -507,36 +490,41 @@ class CertifyResult:
 def certify(spec: CocommutatorSpec, window=6) -> CertifyResult:
     """Classify a candidate cocommutator.
 
-    NotBialgebra when an axiom fails on the window, when r is not skew
-    modulo M_0 (x) M_0, or when the parameter part has non-skew images.
-    Otherwise TriangularCoboundary exactly when the parameter part vanishes
-    and the skew representative of r satisfies the Yang-Baxter equation, and
-    BialgebraNotCoboundary in the remaining cases.
+    NotBialgebra when an image is not skew or co-Jacobi fails on the window,
+    with the counterexample check_axioms reports.  Otherwise
+    TriangularCoboundary exactly when D = 0 and c(r) = 0 (M_0 is central, so
+    c ignores the M_0 (x) M_0 part of r), else BialgebraNotCoboundary.
 
     The verdict is exact for every window of at least 2, the smallest that
     holds all five generators L[+-1], L[+-2], Y[1/2]; a smaller window
-    raises WindowTooSmallError.  Delta_r is a coboundary and every member
-    of the family D is a derivation, so Delta is a 1-cocycle and the
-    compatibility identity holds everywhere.  Once the gates below make
-    every image skew, the co-Jacobi obstruction of a 1-cocycle is itself a
-    1-cocycle, so the set where it vanishes is a subalgebra: vanishing on
-    the generators makes it vanish everywhere.  The spec's images are exact
-    beyond the window, so co-Jacobi at a generator is checked exactly
-    whatever the support of r.
+    raises WindowTooSmallError.  Delta_r is a coboundary and D a derivation,
+    so Delta is a 1-cocycle: compatibility holds everywhere and is reported
+    without a check.  With skew images, the co-Jacobi obstruction of a
+    1-cocycle is a 1-cocycle too, so it vanishes everywhere once it vanishes
+    on the generators, where the spec's images are exact.
+
+    Skew images also make r skew modulo M_0 (x) M_0 and put D in the skew
+    half of the family.  The symmetric part S(x) = x . s + D_s(x) of Delta
+    (s the symmetric part of r, D_s the member with parameters (a + a')/2,
+    (b + b')/2, (g + g')/2 on both sides) is a 1-cocycle, so it vanishes
+    once it vanishes on the generators.  At the central M_0 that gives
+    b + b' = 0; at L_0, which acts by degree, g + g' = 0 and s = s_0, its
+    degree-0 part.  M_n . s_0 = Y_p . s_0 = 0 and the finite support of s_0
+    remove every L and Y factor; L_n on the remaining M (x) M terms leaves
+    only M_0 (x) M_0, and a + a' = 0.  So an r or D outside these shows as a
+    non-skew generator image: an image_skew counterexample inside window 2.
     """
     if HalfInt.of(window) < CERTIFY_MIN_WINDOW:
         raise WindowTooSmallError(
             f"certify needs a window of at least {CERTIFY_MIN_WINDOW} to hold the "
             f"generators L[+-1], L[+-2], Y[1/2]; got {HalfInt.of(window)}")
-    report = check_axioms(spec, window)
+    scan = window_scan_order(window)
+    delta = image_memo(spec)
+    skew = _first_non_skew(scan, delta)
+    jacobi = _first_cojacobi_failure(scan, delta)
+    report = AxiomReport(skew is None, jacobi is None, True, skew or jacobi)
     if not report.all_ok:
         return CertifyResult(NOT_BIALGEBRA, str(report.counterexample), report)
-    r_skew = strip_central_square(spec.r)
-    if not is_skew(r_skew):
-        return CertifyResult(NOT_BIALGEBRA, "r is not skew modulo M[0] (x) M[0]", report)
-    if not spec.d.is_skew_family:
-        return CertifyResult(
-            NOT_BIALGEBRA, "parameter part lies outside the skew half of the family", report)
-    if spec.d.is_zero and check_cybe(r_skew):
+    if spec.d.is_zero and check_cybe(spec.r):
         return CertifyResult(TRIANGULAR_COBOUNDARY, None, report)
     return CertifyResult(BIALGEBRA_NOT_COBOUNDARY, None, report)

@@ -88,6 +88,15 @@ def highest_component(r: Tensor2) -> tuple[HalfInt, Tensor2]:
     return p, comps[p]
 
 
+def _require_skew(r: Tensor2) -> None:
+    """Raise NotSkewError naming the highest-degree component of r that is not skew."""
+    bad = {q: part for q, part in r.graded_components().items() if not is_skew(part)}
+    if bad:
+        p = max(bad)
+        raise NotSkewError(
+            f"classify needs a skew tensor; its degree-{p} component {bad[p]} is not skew")
+
+
 def _pairs(*wedges) -> frozenset:
     """The unordered pairs {u, w} of the wedges u^w given as (u, w); the
     zero wedge u^u has no pair."""
@@ -137,9 +146,7 @@ def classify_highest(r_p: Tensor2, p) -> set[ClassLabel]:
     p = HalfInt.of(p)
     if r_p.is_zero or r_p.homogeneous_degree() != p:
         raise NotHomogeneousError(f"expected a nonzero homogeneous tensor of degree {p}")
-    if not is_skew(r_p):
-        raise NotSkewError(
-            f"classify needs a skew tensor; its degree-{p} component {r_p} is not skew")
+    _require_skew(r_p)
 
     support = _pairs(*r_p._terms)
     matched = [(label, span) for label, span in _labeled_spans(p, r_p) if support <= span]

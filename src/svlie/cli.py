@@ -11,6 +11,7 @@ byte-identical output, including under --jobs > 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -20,16 +21,17 @@ from .bialgebra import (
     CocommutatorSpec,
     SpecialDerivation,
     Tensor2,
+    _first_cojacobi_failure,
     certify,
     check_axioms,
     check_cybe,
     check_mybe,
-    cojacobi_defect,
     decompose_derivation,
     image_memo,
     window_scan_order,
 )
-from .classify import NOT_CANDIDATE, SearchConfig, classify_highest, highest_component, search_cybe
+from .classify import (NOT_CANDIDATE, SearchConfig, _require_skew, classify_highest,
+                       highest_component, search_cybe)
 from .exprs import (
     format as format_value,
     parse_derivation_table,
@@ -64,7 +66,9 @@ def _coeff_list(text: str) -> tuple[Fraction, ...]:
         raise argparse.ArgumentTypeError(f"bad coefficient list: {exc}") from None
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # parse_args leaves the parser unchanged, so one parser serves every run
     fmt = _Parser(add_help=False)
     fmt.add_argument("--format", choices=("text", "json"), default=argparse.SUPPRESS,
                      help="output format (default text)")
@@ -163,16 +167,15 @@ def _cmd_cybe(ns):
 
 
 def _cmd_cojacobi(ns):
-    delta = image_memo(_spec_from_args(ns))
-    for bv in window_scan_order(ns.window):
-        defect = cojacobi_defect(delta, bv)
-        if not defect.is_zero:
-            text = f"co-Jacobi: fails at {bv}\ndefect: {format_value(defect)}"
-            payload = {"command": "cojacobi", "holds": False, "fails_at": str(bv),
-                       "defect": format_value(defect), "window": str(ns.window)}
-            return 1, text, payload
-    payload = {"command": "cojacobi", "holds": True, "window": str(ns.window)}
-    return 0, f"co-Jacobi: holds (window {ns.window})", payload
+    failure = _first_cojacobi_failure(window_scan_order(ns.window),
+                                      image_memo(_spec_from_args(ns)))
+    if failure is None:
+        payload = {"command": "cojacobi", "holds": True, "window": str(ns.window)}
+        return 0, f"co-Jacobi: holds (window {ns.window})", payload
+    bv, defect = failure.inputs[0], format_value(failure.value)
+    payload = {"command": "cojacobi", "holds": False, "fails_at": str(bv),
+               "defect": defect, "window": str(ns.window)}
+    return 1, f"co-Jacobi: fails at {bv}\ndefect: {defect}", payload
 
 
 def _load_table(path: str):
@@ -221,6 +224,7 @@ def _cmd_decompose(ns):
 
 def _cmd_classify(ns):
     r = parse_tensor2(ns.r)
+    _require_skew(r)
     p, top = highest_component(r)
     labels = classify_highest(top, p)
     names = sorted(str(lb) for lb in labels)

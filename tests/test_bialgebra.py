@@ -6,6 +6,7 @@ import pytest
 from svlie import (
     AxiomReport,
     BIALGEBRA_NOT_COBOUNDARY,
+    CertifyResult,
     CocommutatorSpec,
     Counterexample,
     DerivationTable,
@@ -52,6 +53,7 @@ from svlie import (
     window_scan_order,
     yang_baxter_c,
 )
+from svlie.bialgebra import CERTIFY_MIN_WINDOW
 
 from gen import (
     rand_nonzero_coeff,
@@ -210,6 +212,13 @@ def test_derivation_table_window_inference():
     assert DerivationTable.from_entries(partial).window == HalfInt.of(1)
     with pytest.raises(WindowTooSmallError):
         DerivationTable.from_entries({L(0): Tensor2.zero()})
+    no_l0 = dict(full.images)
+    del no_l0[L(0)]
+    with pytest.raises(WindowTooSmallError, match=r"L\[0\] and M\[0\]"):
+        DerivationTable.from_entries(no_l0)
+    ring_two_gap = dict(full.images)
+    del ring_two_gap[M(-1)]
+    assert DerivationTable.from_entries(ring_two_gap).window == HalfInt.of(HALF)
 
 
 def test_check_axioms_window_too_small():
@@ -582,3 +591,93 @@ def test_cojacobi_obstruction_is_a_cocycle():
                 lhs = Tensor3.zero() if hit is None else cojacobi_defect(delta, hit[1]) * hit[0]
                 assert lhs == diag_act3(eb(x), jac[y]) - diag_act3(eb(y), jac[x])
     assert nonzero
+
+
+def reference_certify(spec: CocommutatorSpec, window=6) -> CertifyResult:
+    """certify as it was when it ran all of check_axioms and then two gates
+    on r and the parameters; the reference certify must agree with."""
+    if HalfInt.of(window) < CERTIFY_MIN_WINDOW:
+        raise WindowTooSmallError(
+            f"certify needs a window of at least {CERTIFY_MIN_WINDOW} to hold the "
+            f"generators L[+-1], L[+-2], Y[1/2]; got {HalfInt.of(window)}")
+    report = check_axioms(spec, window)
+    if not report.all_ok:
+        return CertifyResult(NOT_BIALGEBRA, str(report.counterexample), report)
+    r_skew = strip_central_square(spec.r)
+    if not is_skew(r_skew):
+        return CertifyResult(NOT_BIALGEBRA, "r is not skew modulo M[0] (x) M[0]", report)
+    if not spec.d.is_skew_family:
+        return CertifyResult(
+            NOT_BIALGEBRA, "parameter part lies outside the skew half of the family", report)
+    if spec.d.is_zero and check_cybe(r_skew):
+        return CertifyResult(TRIANGULAR_COBOUNDARY, None, report)
+    return CertifyResult(BIALGEBRA_NOT_COBOUNDARY, None, report)
+
+
+def _certify_specs(n, seed) -> list[CocommutatorSpec]:
+    # five shapes in turn: a non-skew r; a skew r with any family member; a
+    # skew r on window 2 with a skew family member; and two with r on the
+    # Y and M vectors alone, where Yang-Baxter solutions are common, one
+    # with an M[0] (x) M[0] term and D = 0, one with a skew family member
+    rng = random.Random(seed)
+    window = basis_window(2)
+    ideal = [bv for bv in window if bv.kind != "L"]
+    specs = []
+    for i in range(n):
+        shape = i % 5
+        if shape == 0:
+            r, d = rand_tensor2(rng, 1, max_terms=2), rand_special_skew(rng)
+        elif shape == 1:
+            r, d = rand_skew(rng, 1, max_pairs=1), rand_special(rng)
+        else:
+            pool = window if shape == 2 else ideal
+            r = Tensor2.zero()
+            for _ in range(rng.randint(1, 2)):
+                u, w = rng.sample(pool, 2)
+                r = r + wedge(u, w) * rand_nonzero_coeff(rng)
+            d = SpecialDerivation.zero() if shape == 3 else rand_special_skew(rng)
+            if shape == 3 and rng.random() < 0.5:
+                r = r + t2(((M(0), M(0)), rand_nonzero_coeff(rng)))
+        specs.append(CocommutatorSpec(r, d))
+    return specs
+
+
+def test_certify_matches_reference_certify():
+    verdicts, kinds = set(), set()
+    gates = {"r": 0, "d": 0}
+    for window, n in ((2, 40), (6, 40), (10, 5)):
+        for spec in _certify_specs(n, 31 + window):
+            res = certify(spec, window)
+            assert res == reference_certify(spec, window)
+            verdicts.add(res.verdict)
+            if res.report.counterexample is not None:
+                kinds.add(res.report.counterexample.axiom)
+            # a spec failing a former gate is refused by a non-skew image
+            for gate, failed in (("r", not is_skew(strip_central_square(spec.r))),
+                                 ("d", not spec.d.is_skew_family)):
+                if failed:
+                    gates[gate] += 1
+                    assert res.report.counterexample.axiom == "image_skew"
+    assert verdicts == {TRIANGULAR_COBOUNDARY, BIALGEBRA_NOT_COBOUNDARY, NOT_BIALGEBRA}
+    assert kinds == {"image_skew", "co_jacobi"}
+    assert gates["r"] and gates["d"]
+
+
+def test_skew_generator_images_force_the_former_gates():
+    # certify's lemma on window 3: x . s + D_s(x) = 0 on the generators, for
+    # s symmetric and D_s the family member with equal parameters on both
+    # sides, has only s = M[0] (x) M[0] with zero parameters as solution
+    vs = basis_window(3)
+    sym = [t2(((u, w), 1), ((w, u), 1)) for i, u in enumerate(vs) for w in vs[i:]]
+    family = [SpecialDerivation(1, 1, 0, 0, 0, 0), SpecialDerivation(0, 0, 1, 1, 0, 0),
+              SpecialDerivation(0, 0, 0, 0, 1, 1)]
+    rows: dict = {}
+    for gi, g in enumerate(GENERATORS):
+        columns = [diag_act2(eb(g), s) for s in sym] + [d.apply_basis(g) for d in family]
+        for j, img in enumerate(columns):
+            for key, c in img._terms.items():
+                rows.setdefault((gi, key), {})[j] = c
+    kernel = RationalMatrix(len(rows), len(sym) + 3, list(rows.values())).nullspace()
+    assert len(kernel) == 1
+    (only,) = [j for j, c in enumerate(kernel[0]) if c]
+    assert sym[only] == t2(((M(0), M(0)), 2))

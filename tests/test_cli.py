@@ -173,6 +173,7 @@ def test_usage_errors_exit_2(capsys):
     ["search", "--window", "1", "--coeffs", "1", "--max-terms", "1", "--jobs", "0"],
     ["invariants", "--rank", "2", "--window", "-1"],
     ["certify", "--r", "L[1] (x) L[-1] - L[-1] (x) L[1]", "--window", "0"],
+    ["classify", "L[0] (x) L[2] - L[2] (x) L[0] + L[1] (x) M[0]"],
 ])
 def test_library_input_errors_exit_2(capsys, argv):
     code, out, err = invoke(capsys, *argv)
@@ -180,3 +181,23 @@ def test_library_input_errors_exit_2(capsys, argv):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_classify_names_highest_non_skew_component(capsys):
+    # the skew top alone would classify as V1, V2; the degree-1 part is not skew
+    code, out, err = invoke(capsys, "classify",
+                            "L[0] (x) L[2] - L[2] (x) L[0] + L[1] (x) M[0]")
+    assert (code, out) == (2, "")
+    assert err == ("error: classify needs a skew tensor; "
+                   "its degree-1 component L[1] (x) M[0] is not skew\n")
+    code, out, err = invoke(capsys, "classify", "L[1] (x) L[2] + L[0] (x) M[0]")
+    assert err == ("error: classify needs a skew tensor; "
+                   "its degree-3 component L[1] (x) L[2] is not skew\n")
+
+
+def test_parser_reused_after_usage_error(capsys):
+    # one parser serves every run in a process: a failed parse and a JSON
+    # run leave no state behind for the next argv
+    assert invoke(capsys, "bracket", "L[1]")[0] == 2
+    assert invoke(capsys, "bracket", "L[1]", "L[2]", "--format", "json")[0] == 0
+    assert invoke(capsys, "bracket", "L[1]", "L[2]") == (0, "L[3]\n", "")
