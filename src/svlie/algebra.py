@@ -177,7 +177,7 @@ class _Linear:
     def zero(cls):
         return cls._make({})
 
-    # subclasses override these three
+    # subclasses override these four
     @staticmethod
     def _check_key(key) -> None:
         raise NotImplementedError

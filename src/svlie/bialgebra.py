@@ -36,12 +36,13 @@ from .algebra import (
     basis_window,
     bracket_basis,
 )
-from .linalg import _action_rows, _by_degree, _key_degree, _solve, TensorWindowBasis
+from .linalg import _action_rows, _by_degree, _solve, TensorWindowBasis
 from .tensors import (
     NotSkewError,
     Tensor2,
     Tensor3,
-    _act2_into,
+    _act_into,
+    _key_degree,
     cyclic,
     diag_act2,
     diag_act3,
@@ -147,7 +148,7 @@ class CocommutatorSpec:
     d: SpecialDerivation
 
     def image_basis(self, bv: BasisVector) -> Tensor2:
-        return diag_act2(Element.basis(bv), self.r) + self.d.apply_basis(bv)
+        return delta_r(self.r, bv) + self.d.apply_basis(bv)
 
 
 def cocommutator_apply(spec: CocommutatorSpec, x) -> Tensor2:
@@ -219,7 +220,7 @@ def coboundary_identity_check(r: Tensor2, x) -> bool:
     x = _as_element(x)
     lhs = Tensor3.zero()
     for bv, c in x._terms.items():
-        lhs = lhs + cojacobi_defect(lambda b: diag_act2(Element.basis(b), r), bv) * c
+        lhs = lhs + cojacobi_defect(lambda b: delta_r(r, b), bv) * c
     rhs = diag_act3(x, yang_baxter_c(r))
     return lhs == rhs
 
@@ -298,7 +299,7 @@ class DerivationTable:
 
 def inner_derivation_table(v: Tensor2, window) -> DerivationTable:
     """The inner derivation x -> x . v tabulated on a window."""
-    return DerivationTable.from_callable(lambda bv: diag_act2(Element.basis(bv), v), window)
+    return DerivationTable.from_callable(lambda bv: delta_r(v, bv), window)
 
 
 def special_derivation_table(d: SpecialDerivation, window) -> DerivationTable:
@@ -341,8 +342,8 @@ def _compatibility_defect(delta, x: BasisVector, y: BasisVector) -> Tensor2 | No
             return None
         # c and every coefficient of dz are nonzero, so acc stays canonical
         acc = {key: v * c for key, v in dz._terms.items()}
-    _act2_into(acc, x, _MINUS_ONE, delta(y))
-    _act2_into(acc, y, _ONE, delta(x))
+    _act_into(acc, x, _MINUS_ONE, delta(y))
+    _act_into(acc, y, _ONE, delta(x))
     return Tensor2._make(acc)
 
 
@@ -424,7 +425,7 @@ def inner_witness_nonzero_degree(t_alpha: DerivationTable, a) -> Tensor2:
         raise ZeroDegreeError("degree-zero components have no canonical inner witness")
     v = t_alpha.image(L(0)) * Fraction(2, a.twice)
     for bv, img in t_alpha.items():
-        if diag_act2(Element.basis(bv), v) != img:
+        if delta_r(v, bv) != img:
             raise WitnessMismatchError(f"table is not inner: mismatch at {bv}")
     return v
 
@@ -462,7 +463,7 @@ def match_inner_on_generators(t: DerivationTable, bound) -> Tensor2 | None:
         acc.update((key, c) for key, c in zip(block, x) if c)
     v = Tensor2(list(acc.items()))
     for g in GENERATORS:
-        if diag_act2(Element.basis(g), v) != t.image(g):
+        if delta_r(v, g) != t.image(g):
             return None
     return v
 

@@ -186,7 +186,7 @@ def enumerate_skew_candidates(cfg: SearchConfig) -> list[Tensor2]:
     if not coeffs:
         return []
     seen: dict[tuple, Tensor2] = {}
-    for k in range(1, cfg.max_terms + 1):
+    for k in range(1, min(cfg.max_terms, len(pairs)) + 1):
         for combo in itertools.combinations(pairs, k):
             for cs in itertools.product(coeffs, repeat=k):
                 acc: dict = {}

@@ -321,6 +321,9 @@ def run(argv=None) -> int:
     try:
         ns = parser.parse_args(argv)
         code, text, payload = _HANDLERS[ns.command](ns)
+    except SystemExit as exc:
+        # -h or --help: argparse has printed the help text and exits 0
+        return exc.code
     except (UsageError, ValueError) as exc:
         # ValueError covers the library's input errors: ParseError,
         # ZeroInputError, NotSkewError, NotHomogeneousError, ZeroDegreeError,

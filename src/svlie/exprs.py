@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .algebra import BasisVector, Element, HalfInt, ParityError
 from .bialgebra import DerivationTable
-from .tensors import Tensor2, Tensor3
+from .tensors import _CLASS_OF_RANK, Tensor2, Tensor3
 
 
 class ParseError(ValueError):
@@ -114,11 +114,8 @@ class _Parser:
                              self.tok.line, self.tok.col)
         return self.advance()
 
-    def fail(self, message: str):
-        raise ParseError(message, self.tok.line, self.tok.col)
-
     def parse_value(self, rank: int):
-        cls = {1: Element, 2: Tensor2, 3: Tensor3}[rank]
+        cls = _CLASS_OF_RANK[rank]
         if self.tok.kind == "NUM" and self.tok.text == "0" \
                 and self.tokens[self.pos + 1].kind == "END":
             self.advance()

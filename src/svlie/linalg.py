@@ -25,17 +25,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .algebra import (
-    GENERATORS,
-    BasisVector,
-    Element,
-    HalfInt,
-    _as_frac,
-    _bump,
-    basis_window,
-    bracket_basis,
-)
-from .tensors import Tensor2, Tensor3, canonical_key
+from .algebra import GENERATORS, HalfInt, _as_frac, _bump, basis_window
+from .tensors import _CLASS_OF_RANK, Tensor2, _act_key, _key_degree, canonical_key
 
 _ZERO = Fraction(0)
 
@@ -49,18 +40,12 @@ def _rref(rows) -> dict[int, dict[int, Fraction]]:
     pivots: dict[int, dict[int, Fraction]] = {}
     for original in rows:
         row = dict(original)
-        # clear every entry sitting at an existing pivot column, smallest
-        # first; pivot rows only reach columns to their right, so this ends
-        while True:
-            hit = None
-            for k in row:
-                if k in pivots and (hit is None or k < hit):
-                    hit = k
-            if hit is None:
-                break
-            f = row.pop(hit)
-            for k, v in pivots[hit].items():
-                if k == hit:
+        # pivot rows are fully reduced, so clearing one pivot column never
+        # refills another: one pass over the pivot columns of the row does
+        for p in row.keys() & pivots.keys():
+            f = row.pop(p)
+            for k, v in pivots[p].items():
+                if k == p:
                     continue
                 nv = row.get(k, _ZERO) - f * v
                 if nv:
@@ -116,7 +101,11 @@ class RationalMatrix:
     def __init__(self, nrows: int, ncols: int, rows=None):
         self.nrows = nrows
         self.ncols = ncols
-        self.rows = [dict(r) for r in rows] if rows is not None else [{} for _ in range(nrows)]
+        if rows is None:
+            rows = [{} for _ in range(nrows)]
+        # exact nonzero entries only: no float enters the elimination and no
+        # stored zero becomes a pivot
+        self.rows = [{j: f for j, v in r.items() if (f := _as_frac(v))} for r in rows]
         if len(self.rows) != nrows:
             raise ValueError("row count mismatch")
 
@@ -127,7 +116,7 @@ class RationalMatrix:
         for r in grid:
             if len(r) != width:
                 raise ValueError("ragged matrix")
-            rows.append({j: _as_frac(v) for j, v in enumerate(r) if v})
+            rows.append(dict(enumerate(r)))
         return cls(len(grid), width, rows)
 
     @classmethod
@@ -135,8 +124,7 @@ class RationalMatrix:
         rows: list[dict] = [{} for _ in range(nrows)]
         for j, col in enumerate(cols):
             for i, v in enumerate(col):
-                if v:
-                    rows[i][j] = _as_frac(v)
+                rows[i][j] = v
         return cls(nrows, len(cols), rows)
 
     def nullspace(self) -> list[list[Fraction]]:
@@ -192,20 +180,6 @@ class TensorWindowBasis:
         return _tensor(self.rank, zip(self.keys, coords))
 
 
-def _act_key(g: BasisVector, key: tuple) -> list[tuple[tuple, Fraction]]:
-    """Diagonal action of a basis vector on an elementary tensor key."""
-    out = []
-    for pos, bv in enumerate(key):
-        hit = bracket_basis(g, bv)
-        if hit is not None:
-            out.append((key[:pos] + (hit[1],) + key[pos + 1:], hit[0]))
-    return out
-
-
-def _key_degree(key: tuple) -> HalfInt:
-    return HalfInt(sum(v.index.twice for v in key))
-
-
 def _by_degree(keys) -> dict[HalfInt, list[tuple]]:
     blocks: dict[HalfInt, list[tuple]] = {}
     for key in keys:
@@ -215,10 +189,7 @@ def _by_degree(keys) -> dict[HalfInt, list[tuple]]:
 
 def _tensor(rank: int, items):
     """The rank-1, 2 or 3 tensor with the given (key, coefficient) items."""
-    items = [(key, c) for key, c in items if c]
-    if rank == 1:
-        return Element((k[0], c) for k, c in items)
-    return (Tensor2 if rank == 2 else Tensor3)(items)
+    return _CLASS_OF_RANK[rank]((key[0] if rank == 1 else key, c) for key, c in items if c)
 
 
 def _action_rows(block: list[tuple], fold=None) -> dict:

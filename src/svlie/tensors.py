@@ -5,7 +5,8 @@ the diagonal adjoint action
 
     x . (a (x) b) = [x,a] (x) b + a (x) [x,b]
 
-and its rank-3 analogue, skewness tests, and the Yang-Baxter bracket
+written once on elementary keys of any rank, skewness tests, and the
+Yang-Baxter bracket
 
     c(r) = [r12, r13] + [r12, r23] + [r13, r23]
 
@@ -36,48 +37,48 @@ class NotSkewError(ValueError):
     """A skew rank-2 tensor was required."""
 
 
-class Tensor2(_Linear):
+def _key_degree(key: tuple) -> HalfInt:
+    """Total degree of an elementary tensor key: the sum of its factor indices."""
+    return HalfInt(sum(v.index.twice for v in key))
+
+
+class _Tensor(_Linear):
+    """Keys are `rank`-tuples of basis vectors, ordered factor by factor."""
+
+    rank: int
+
+    @classmethod
+    def _check_key(cls, key) -> None:
+        if not (isinstance(key, tuple) and len(key) == cls.rank
+                and all(isinstance(v, BasisVector) for v in key)):
+            raise TypeError(
+                f"{cls.__name__} keys must be {cls.rank}-tuples of basis vectors, got {key!r}")
+
+    @staticmethod
+    def _sort_key(key):
+        return tuple([v.sort_key for v in key])
+
+    _key_degree = staticmethod(_key_degree)
+
+    @staticmethod
+    def _format_key(key) -> str:
+        return " (x) ".join(map(str, key))
+
+
+class Tensor2(_Tensor):
     """Finite rational combination of ordered pairs of basis vectors."""
 
-    @staticmethod
-    def _check_key(key) -> None:
-        if not (isinstance(key, tuple) and len(key) == 2
-                and all(isinstance(v, BasisVector) for v in key)):
-            raise TypeError(f"Tensor2 keys must be pairs of basis vectors, got {key!r}")
-
-    @staticmethod
-    def _sort_key(key):
-        return (key[0].sort_key, key[1].sort_key)
-
-    @staticmethod
-    def _key_degree(key) -> HalfInt:
-        return HalfInt(key[0].index.twice + key[1].index.twice)
-
-    @staticmethod
-    def _format_key(key) -> str:
-        return f"{key[0]} (x) {key[1]}"
+    rank = 2
 
 
-class Tensor3(_Linear):
+class Tensor3(_Tensor):
     """Finite rational combination of ordered triples of basis vectors."""
 
-    @staticmethod
-    def _check_key(key) -> None:
-        if not (isinstance(key, tuple) and len(key) == 3
-                and all(isinstance(v, BasisVector) for v in key)):
-            raise TypeError(f"Tensor3 keys must be triples of basis vectors, got {key!r}")
+    rank = 3
 
-    @staticmethod
-    def _sort_key(key):
-        return (key[0].sort_key, key[1].sort_key, key[2].sort_key)
 
-    @staticmethod
-    def _key_degree(key) -> HalfInt:
-        return HalfInt(sum(v.index.twice for v in key))
-
-    @staticmethod
-    def _format_key(key) -> str:
-        return f"{key[0]} (x) {key[1]} (x) {key[2]}"
+# the value class of each rank; rank-1 values are elements, keyed by basis vectors
+_CLASS_OF_RANK = {1: Element, 2: Tensor2, 3: Tensor3}
 
 
 def wedge(u: BasisVector, w: BasisVector) -> Tensor2:
@@ -114,23 +115,33 @@ def skew_part(t: Tensor2) -> Tensor2:
     return (t - twist(t)) * Fraction(1, 2)
 
 
-def _act2_into(acc: dict, g: BasisVector, cg: Fraction, t: Tensor2) -> None:
+def _act_key(g: BasisVector, key: tuple) -> list[tuple[tuple, Fraction]]:
+    """g . key for a basis vector g and an elementary tensor key of any rank:
+    [g, v] replaces one factor v at a time.  Returns the nonzero terms as
+    (key, coefficient) pairs; a key may repeat."""
+    out = []
+    for pos, bv in enumerate(key):
+        hit = bracket_basis(g, bv)
+        if hit is not None:
+            out_key = list(key)
+            out_key[pos] = hit[1]
+            out.append((tuple(out_key), hit[0]))
+    return out
+
+
+def _act_into(acc: dict, g: BasisVector, cg: Fraction, t: _Tensor) -> None:
     """Add cg * (g . t) into the canonical term dict acc."""
-    for (a, b), ct in t._terms.items():
+    for key, ct in t._terms.items():
         c = cg * ct
-        hit = bracket_basis(g, a)
-        if hit is not None:
-            _bump(acc, (hit[1], b), c * hit[0])
-        hit = bracket_basis(g, b)
-        if hit is not None:
-            _bump(acc, (a, hit[1]), c * hit[0])
+        for out_key, cb in _act_key(g, key):
+            _bump(acc, out_key, c * cb)
 
 
 def diag_act2(x: Element, t: Tensor2) -> Tensor2:
     """Diagonal adjoint action of x on a rank-2 tensor (Leibniz in each slot)."""
     acc: dict = {}
     for g, cg in x._terms.items():
-        _act2_into(acc, g, cg, t)
+        _act_into(acc, g, cg, t)
     return Tensor2._make(acc)
 
 
@@ -138,12 +149,7 @@ def diag_act3(x: Element, u: Tensor3) -> Tensor3:
     """Diagonal adjoint action of x on a rank-3 tensor."""
     acc: dict = {}
     for g, cg in x._terms.items():
-        for key, ct in u._terms.items():
-            c = cg * ct
-            for pos in range(3):
-                hit = bracket_basis(g, key[pos])
-                if hit is not None:
-                    _bump(acc, key[:pos] + (hit[1],) + key[pos + 1:], c * hit[0])
+        _act_into(acc, g, cg, u)
     return Tensor3._make(acc)
 
 

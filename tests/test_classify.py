@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -283,3 +284,12 @@ def test_search_workers_bounded_by_cpu_count(monkeypatch, capsys):
     pools.clear()
     assert search_cybe(SearchConfig(cfg.bound, cfg.coeffs, cfg.max_terms, jobs=8)) == serial
     assert pools == []
+
+
+def test_wedge_budget_beyond_the_pair_count_costs_nothing():
+    # window 0 holds one pair, L[0] ^ M[0]; a larger budget adds no wedge
+    one = enumerate_skew_candidates(SearchConfig(0, (1,), 1))
+    start = time.perf_counter()
+    many = enumerate_skew_candidates(SearchConfig(0, (1,), 10**6))
+    assert time.perf_counter() - start < 1
+    assert many == one == [wedge(L(0), M(0))]

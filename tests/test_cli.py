@@ -201,3 +201,11 @@ def test_parser_reused_after_usage_error(capsys):
     assert invoke(capsys, "bracket", "L[1]")[0] == 2
     assert invoke(capsys, "bracket", "L[1]", "L[2]", "--format", "json")[0] == 0
     assert invoke(capsys, "bracket", "L[1]", "L[2]") == (0, "L[3]\n", "")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["search", "-h"]])
+def test_help_returns_exit_0(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 0
+    assert out.startswith("usage: sv " + " ".join(argv[:-1]).strip())
+    assert err == ""

@@ -19,6 +19,9 @@ from svlie import (
     wedge,
 )
 
+from svlie.algebra import GENERATORS, _bump, bracket_basis
+from svlie.linalg import _action_rows, _by_degree, _unordered
+
 from gen import rand_tensor2
 
 
@@ -96,6 +99,20 @@ def test_solve_consistent_and_inconsistent():
     assert dep.solve([1, 3]) is None
     sol = dep.solve([1, 2])
     assert sol is not None and sol[0] + 2 * sol[1] == 1
+
+
+def test_rational_matrix_is_exact_at_its_constructor():
+    def exact(vectors):
+        return all(type(c) is F for v in vectors for c in v)
+
+    null = RationalMatrix(1, 2, [{0: 2, 1: 1}]).nullspace()
+    assert null == [[F(-1, 2), F(1)]] and exact(null)
+    sol = RationalMatrix(1, 2, [{0: 3, 1: 1}]).solve([1])
+    assert sol == [F(1, 3), F(0)] and exact([sol])
+    with pytest.raises(TypeError):
+        RationalMatrix(1, 2, [{0: 0.5}])
+    # a stored zero is no pivot
+    assert RationalMatrix(2, 2, [{0: 0, 1: 1}, {}]).nullspace() == [[F(1), F(0)]]
 
 
 def test_solve_random_residual():
@@ -178,3 +195,37 @@ def test_skew_window_inside_solution_space():
     for i, u in enumerate(vs):
         for w in vs[i + 1:]:
             assert in_span(wedge(u, w), got)
+
+
+# Reference copy of the row builder before it shared the tensor layer's
+# key-level action.
+
+def reference_act_key(g, key):
+    out = []
+    for pos, bv in enumerate(key):
+        hit = bracket_basis(g, bv)
+        if hit is not None:
+            out.append((key[:pos] + (hit[1],) + key[pos + 1:], hit[0]))
+    return out
+
+
+def reference_action_rows(block, fold=None):
+    rows = {}
+    for j, key in enumerate(block):
+        for gi, g in enumerate(GENERATORS):
+            for out_key, c in reference_act_key(g, key):
+                if fold is not None:
+                    out_key = fold(out_key)
+                _bump(rows.setdefault((gi, out_key), {}), j, c)
+    return rows
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_action_rows_match_reference(rank):
+    blocks = _by_degree(TensorWindowBasis(rank, 1).keys).values()
+    folds = [None, _unordered] if rank == 2 else [None]
+    for block in blocks:
+        for fold in folds:
+            got = _action_rows(block, fold)
+            want = reference_action_rows(block, fold)
+            assert list(got.items()) == list(want.items())

@@ -24,7 +24,10 @@ from svlie import (
     yang_baxter_c,
 )
 
-from gen import rand_tensor2, skew_tensor2s, tensor2s, tensor3s
+from svlie.algebra import _bump, bracket_basis
+from svlie.tensors import _key_degree
+
+from gen import elements, rand_tensor2, skew_tensor2s, tensor2s, tensor3s
 
 eb = Element.basis
 
@@ -177,3 +180,108 @@ def test_yang_baxter_grading():
         c = yang_baxter_c(r)
         if not c.is_zero:
             assert c.homogeneous_degree() == p + p
+
+
+# Reference copies of the per-rank code the shared tensor layer replaced: the
+# rank-2 action, the rank-3 action loop and the key rules of each class.
+
+def reference_act2_into(acc, g, cg, t):
+    for (a, b), ct in t._terms.items():
+        c = cg * ct
+        hit = bracket_basis(g, a)
+        if hit is not None:
+            _bump(acc, (hit[1], b), c * hit[0])
+        hit = bracket_basis(g, b)
+        if hit is not None:
+            _bump(acc, (a, hit[1]), c * hit[0])
+
+
+def reference_diag_act2(x, t):
+    acc = {}
+    for g, cg in x._terms.items():
+        reference_act2_into(acc, g, cg, t)
+    return Tensor2._make(acc)
+
+
+def reference_diag_act3(x, u):
+    acc = {}
+    for g, cg in x._terms.items():
+        for key, ct in u._terms.items():
+            c = cg * ct
+            for pos in range(3):
+                hit = bracket_basis(g, key[pos])
+                if hit is not None:
+                    _bump(acc, key[:pos] + (hit[1],) + key[pos + 1:], c * hit[0])
+    return Tensor3._make(acc)
+
+
+REFERENCE_SORT_KEY = {
+    Tensor2: lambda k: (k[0].sort_key, k[1].sort_key),
+    Tensor3: lambda k: (k[0].sort_key, k[1].sort_key, k[2].sort_key),
+}
+REFERENCE_FORMAT_KEY = {
+    Tensor2: lambda k: f"{k[0]} (x) {k[1]}",
+    Tensor3: lambda k: f"{k[0]} (x) {k[1]} (x) {k[2]}",
+}
+REFERENCE_KEY_DEGREE = {
+    Tensor2: lambda k: HalfInt(k[0].index.twice + k[1].index.twice),
+    Tensor3: lambda k: HalfInt(sum(v.index.twice for v in k)),
+}
+
+
+def reference_terms(t):
+    return sorted(t._terms.items(), key=lambda kv: REFERENCE_SORT_KEY[type(t)](kv[0]))
+
+
+def reference_str(t):
+    items = reference_terms(t)
+    if not items:
+        return "0"
+    pieces = []
+    for n, (key, c) in enumerate(items):
+        body = REFERENCE_FORMAT_KEY[type(t)](key)
+        if n == 0:
+            pieces.append(body if c == 1 else f"{c} * {body}")
+        else:
+            mag = abs(c)
+            pieces.append((" + " if c > 0 else " - ") + (body if mag == 1 else f"{mag} * {body}"))
+    return "".join(pieces)
+
+
+@settings(max_examples=150)
+@given(elements(), tensor2s(), tensor3s())
+def test_diag_act_matches_per_rank_reference(x, t, u):
+    assert diag_act2(x, t) == reference_diag_act2(x, t)
+    assert diag_act3(x, u) == reference_diag_act3(x, u)
+
+
+def test_diag_act_matches_reference_on_repeated_factors():
+    # L[0] maps each factor to a multiple of itself, so both slots of
+    # Y (x) Y hit the same key
+    y = Y(F(1, 2))
+    for x in (eb(L(0)), eb(L(1)) - 3 * eb(Y(F(-1, 2)))):
+        t = t2(((y, y), 2), ((L(1), M(-1)), -1))
+        u = t3(((y, y, y), 1), ((L(0), M(1), Y(F(-3, 2))), F(1, 2)))
+        assert diag_act2(x, t) == reference_diag_act2(x, t)
+        assert diag_act3(x, u) == reference_diag_act3(x, u)
+    assert diag_act2(eb(L(0)), t2(((y, y), 1))) == t2(((y, y), 1))
+
+
+@settings(max_examples=100)
+@given(tensor2s(), tensor3s())
+def test_key_rules_match_per_rank_reference(t, u):
+    for v in (t, u):
+        assert v.terms() == reference_terms(v)
+        assert str(v) == reference_str(v)
+        for key in v._terms:
+            want = REFERENCE_KEY_DEGREE[type(v)](key)
+            assert v._key_degree(key) == _key_degree(key) == want
+
+
+def test_bad_key_error_names_the_class():
+    with pytest.raises(TypeError, match="^Tensor2 keys"):
+        Tensor2([((L(0), L(1), L(2)), 1)])
+    with pytest.raises(TypeError, match="^Tensor3 keys"):
+        Tensor3([((L(0), L(1)), 1)])
+    with pytest.raises(TypeError, match="^Tensor2 keys"):
+        Tensor2([((L(0), 1), 1)])
