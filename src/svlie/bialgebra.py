@@ -19,6 +19,7 @@ and is then exact (its docstring gives the argument).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -313,21 +314,10 @@ def image_memo(subject):
     A table answers None for a basis vector it has no image for.
     """
     if isinstance(subject, DerivationTable):
-        image = subject.image
-    elif isinstance(subject, CocommutatorSpec):
-        image = subject.image_basis
-    else:
-        raise TypeError("expected a CocommutatorSpec or a DerivationTable")
-    images: dict = {}
-
-    def delta(bv: BasisVector) -> Tensor2 | None:
-        try:
-            return images[bv]
-        except KeyError:
-            img = images[bv] = image(bv)
-            return img
-
-    return delta
+        return functools.cache(subject.image)
+    if isinstance(subject, CocommutatorSpec):
+        return functools.cache(subject.image_basis)
+    raise TypeError("expected a CocommutatorSpec or a DerivationTable")
 
 
 def _compatibility_defect(delta, x: BasisVector, y: BasisVector) -> Tensor2 | None:

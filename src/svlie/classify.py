@@ -25,8 +25,8 @@ containment are exact inclusions of pair sets, with no linear solve.
 
 `search_cybe` enumerates skew candidates built from elementary wedges with
 bounded indices and bounded term count, filters them through the exact
-Yang-Baxter bracket, and returns a deduplicated, canonically sorted list
-that is independent of the worker count.
+Yang-Baxter bracket, and returns one solution per scalar class,
+canonically sorted and independent of the worker count.
 """
 
 from __future__ import annotations
@@ -174,30 +174,32 @@ class SearchConfig:
 
 def enumerate_skew_candidates(cfg: SearchConfig) -> list[Tensor2]:
     """All nonzero combinations of at most `max_terms` elementary wedges with
-    window-bounded factors and coefficients from the configured set,
-    deduplicated up to a nonzero scalar and canonically sorted.
+    window-bounded factors and coefficients from the configured set, one per
+    class up to a nonzero scalar, canonically sorted.
 
-    The representative of each scalar class has leading coefficient 1 on its
-    lexicographically least term.
+    The representative of each scalar class has coefficient 1 on its least
+    term.  Each class is built once: `pairs` lists each (u, w) with u < w in
+    `basis_window` order, which is the basis sort order, and
+    `itertools.combinations` keeps that order.  So the least key of
+    sum_i c_i (u_i^w_i) is (u_1, w_1), its lead coefficient is c_1, and two
+    coefficient products give the same class exactly when they share the
+    combination and the ray c / c_1.  Generation order is not canonical
+    order (L_0^M_0 + c L_0^M_1 sorts before L_0^M_0), hence the final sort.
     """
     vs = basis_window(cfg.bound)
     pairs = [(u, w) for i, u in enumerate(vs) for w in vs[i + 1:]]
-    coeffs = sorted({c for c in cfg.coeffs if c})
-    if not coeffs:
-        return []
-    seen: dict[tuple, Tensor2] = {}
+    coeffs = [c for c in cfg.coeffs if c]
+    reps = []
     for k in range(1, min(cfg.max_terms, len(pairs)) + 1):
+        rays = {tuple(c / cs[0] for c in cs) for cs in itertools.product(coeffs, repeat=k)}
         for combo in itertools.combinations(pairs, k):
-            for cs in itertools.product(coeffs, repeat=k):
+            for ray in rays:
                 acc: dict = {}
-                for (u, w), c in zip(combo, cs):
+                for (u, w), c in zip(combo, ray):
                     acc[(u, w)] = c
                     acc[(w, u)] = -c
-                t = Tensor2._make(acc)
-                lead = t.terms()[0][1]
-                rep = t * (1 / lead)
-                seen.setdefault(canonical_key(rep), rep)
-    return [seen[k] for k in sorted(seen)]
+                reps.append(Tensor2._make(acc))
+    return sorted(reps, key=canonical_key)
 
 
 def _cybe_flags(chunk: list[Tensor2]) -> list[bool]:

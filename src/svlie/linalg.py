@@ -121,8 +121,11 @@ class RationalMatrix:
 
     @classmethod
     def from_columns(cls, cols: list[list[Fraction]], nrows: int) -> "RationalMatrix":
+        """Columns shorter than `nrows` are zero below their last entry."""
         rows: list[dict] = [{} for _ in range(nrows)]
         for j, col in enumerate(cols):
+            if len(col) > nrows:
+                raise ValueError(f"column {j} has {len(col)} entries, more than {nrows} rows")
             for i, v in enumerate(col):
                 rows[i][j] = v
         return cls(nrows, len(cols), rows)

@@ -176,12 +176,8 @@ def canonical_key(t: _Linear) -> tuple:
     """A sortable, hashable fingerprint of a canonical value.
 
     Two values compare equal iff their fingerprints do; used for
-    deterministic dedup and ordering of tensor lists.
+    deterministic dedup and ordering of tensor lists.  Distinct keys have
+    distinct sort keys, so the pairs sort by key alone, as `terms()` does.
     """
-    out = []
-    for key, c in t.terms():
-        flat = t._sort_key(key)
-        if isinstance(flat[0], tuple):
-            flat = tuple(x for part in flat for x in part)
-        out.append((flat, (c.numerator, c.denominator)))
-    return tuple(out)
+    return tuple(sorted((t._sort_key(key), (c.numerator, c.denominator))
+                        for key, c in t._terms.items()))

@@ -543,6 +543,17 @@ def test_check_axioms_computes_each_image_once(monkeypatch):
         assert calls and max(calls.values()) == 1
 
 
+def test_image_memo_caches_a_tables_misses(monkeypatch):
+    calls = []
+    original = DerivationTable.image
+    monkeypatch.setattr(DerivationTable, "image",
+                        lambda self, bv: calls.append(bv) or original(self, bv))
+    delta = image_memo(special_derivation_table(SpecialDerivation.zero(), 0))
+    assert [delta(L(5)), delta(L(5))] == [None, None] and calls == [L(5)]
+    with pytest.raises(TypeError):
+        image_memo(wedge(L(0), M(0)))
+
+
 def test_certify_window_floor():
     spec = CocommutatorSpec(wedge(L(1), L(-1)), SpecialDerivation.zero())
     for window in (0, HALF, 1, F(3, 2)):

@@ -1,3 +1,4 @@
+import itertools
 import time
 from fractions import Fraction as F
 
@@ -16,6 +17,7 @@ from svlie import (
     Tensor2,
     Y,
     ZeroInputError,
+    basis_window,
     canonical_key,
     check_cybe,
     check_mybe,
@@ -293,3 +295,41 @@ def test_wedge_budget_beyond_the_pair_count_costs_nothing():
     many = enumerate_skew_candidates(SearchConfig(0, (1,), 10**6))
     assert time.perf_counter() - start < 1
     assert many == one == [wedge(L(0), M(0))]
+
+
+def reference_enumerate_skew_candidates(cfg):
+    """Every coefficient product built, rescaled to lead 1 and deduplicated."""
+    vs = basis_window(cfg.bound)
+    pairs = [(u, w) for i, u in enumerate(vs) for w in vs[i + 1:]]
+    coeffs = sorted({c for c in cfg.coeffs if c})
+    if not coeffs:
+        return []
+    seen = {}
+    for k in range(1, min(cfg.max_terms, len(pairs)) + 1):
+        for combo in itertools.combinations(pairs, k):
+            for cs in itertools.product(coeffs, repeat=k):
+                acc = {}
+                for (u, w), c in zip(combo, cs):
+                    acc[(u, w)] = c
+                    acc[(w, u)] = -c
+                t = Tensor2._make(acc)
+                lead = t.terms()[0][1]
+                rep = t * (1 / lead)
+                seen.setdefault(canonical_key(rep), rep)
+    return [seen[k] for k in sorted(seen)]
+
+
+@pytest.mark.parametrize("bound, coeffs, max_terms", [
+    (1, (1, -1, 2), 2),
+    (F(3, 2), (1, -1), 2),
+    (HALF, (1, -1, HALF), 3),
+    (HALF, (0, 1, -2), 2),
+    (HALF, (1,), 8),
+])
+def test_enumeration_matches_dedup_reference(bound, coeffs, max_terms):
+    cfg = SearchConfig(bound, coeffs, max_terms)
+    got, ref = enumerate_skew_candidates(cfg), reference_enumerate_skew_candidates(cfg)
+    assert got == ref
+    # equal term lists, in order, also give equal str; tests/golden_cli.txt
+    # pins the text of `sv search`
+    assert [list(t._terms.items()) for t in got] == [list(t._terms.items()) for t in ref]

@@ -113,6 +113,10 @@ def test_rational_matrix_is_exact_at_its_constructor():
         RationalMatrix(1, 2, [{0: 0.5}])
     # a stored zero is no pivot
     assert RationalMatrix(2, 2, [{0: 0, 1: 1}, {}]).nullspace() == [[F(1), F(0)]]
+    # a short column is zero below its entries; a long one has no rows to go to
+    assert RationalMatrix.from_columns([[1], [2, 3]], 2).rows == [{0: 1, 1: 2}, {1: 3}]
+    with pytest.raises(ValueError):
+        RationalMatrix.from_columns([[1, 2, 3]], 2)
 
 
 def test_solve_random_residual():
