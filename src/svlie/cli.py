@@ -16,7 +16,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .algebra import HalfInt
+from .algebra import HalfInt, bracket
 from .bialgebra import (
     CocommutatorSpec,
     SpecialDerivation,
@@ -140,18 +140,17 @@ def _spec_from_args(ns) -> CocommutatorSpec:
 
 
 def _cmd_bracket(ns):
-    from .algebra import bracket
-
-    result = bracket(parse_element(ns.x), parse_element(ns.y))
-    return 0, format_value(result), {"command": "bracket", "result": format_value(result)}
+    result = format_value(bracket(parse_element(ns.x), parse_element(ns.y)))
+    return 0, result, {"command": "bracket", "result": result}
 
 
 def _cmd_act(ns):
     x = parse_element(ns.x)
     src = parse_source(ns.on)
-    act = diag_act3 if src.rank == 3 else diag_act2
-    result = act(x, src.value)
-    return 0, format_value(result), {"command": "act", "result": format_value(result)}
+    # on an element (rank 1) the diagonal action is the bracket
+    act = {1: bracket, 2: diag_act2, 3: diag_act3}[src.rank]
+    result = format_value(act(x, src.value))
+    return 0, result, {"command": "act", "result": result}
 
 
 def _cmd_cybe(ns):
@@ -213,8 +212,8 @@ def _cmd_decompose(ns):
         lines.append(f"degree {degree}:")
         entries = {}
         for bv, img in part.items():
-            lines.append(f"  {bv} -> {format_value(img)}")
-            entries[str(bv)] = format_value(img)
+            entries[str(bv)] = text = format_value(img)
+            lines.append(f"  {bv} -> {text}")
         payload_comps[str(degree)] = entries
     if not comps:
         lines.append("zero table: no components")
@@ -242,31 +241,30 @@ def _cmd_search(ns):
     cfg = SearchConfig(ns.window, ns.coeffs, ns.max_terms, ns.jobs)
     solutions = search_cybe(cfg)
     coeff_echo = ",".join(str(c) for c in cfg.coeffs)
-    lines = [format_value(r) for r in solutions]
-    lines.append(f"count: {len(solutions)}")
-    lines.append(f"window: {cfg.bound}  coeffs: {coeff_echo}  "
-                 f"max-terms: {cfg.max_terms}  jobs: {cfg.jobs}")
+    texts = [format_value(r) for r in solutions]
+    lines = texts + [f"count: {len(solutions)}",
+                     f"window: {cfg.bound}  coeffs: {coeff_echo}  "
+                     f"max-terms: {cfg.max_terms}  jobs: {cfg.jobs}"]
     payload = {"command": "search",
                "config": {"window": str(cfg.bound), "coeffs": coeff_echo,
                           "max_terms": cfg.max_terms, "jobs": cfg.jobs},
                "count": len(solutions),
-               "solutions": [format_value(r) for r in solutions]}
+               "solutions": texts}
     return 0, "\n".join(lines), payload
 
 
 def _cmd_invariants(ns):
     basis = invariant_tensors(ns.rank, ns.window)
-    lines = [format_value(t) for t in basis]
-    lines.append(f"dimension: {len(basis)}")
+    texts = [format_value(t) for t in basis]
     payload = {"command": "invariants", "rank": ns.rank, "window": str(ns.window),
-               "dimension": len(basis), "basis": [format_value(t) for t in basis]}
-    return 0, "\n".join(lines), payload
+               "dimension": len(basis), "basis": texts}
+    return 0, "\n".join(texts + [f"dimension: {len(basis)}"]), payload
 
 
 def _cmd_certify(ns):
     spec = _spec_from_args(ns)
     result = certify(spec, ns.window)
-    if result.verdict == "NotBialgebra":
+    if not result.is_bialgebra:
         text = f"Lie bialgebra: no ({result.reason})"
         code = 1
     else:

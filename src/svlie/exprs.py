@@ -7,16 +7,22 @@
     tensor3  := same with two "(x)"
     rational := ["-"] digits ["/" digits]
 
-The tensor separator is the ASCII token "(x)"; the Unicode tensor sign is
-accepted as an alias on input.  Indices are integers for L and M and
-half-odd rationals written over 2 for Y ("Y[-3/2]"); signs sit inside the
-brackets.  The "*" between a scalar and its generator is mandatory.
-Whitespace is free.  Parsing and formatting are mutually inverse on
-canonical values, and parse errors carry line and column numbers.
+Tokens: NUM, a run of decimal digits (the Unicode digits that `int` reads,
+not superscripts); OTIMES, the ASCII "(x)" or the tensor sign; NAME, one of
+L, M and Y; and the single characters [ ] + - * /.  Spaces, tabs, carriage
+returns and newlines are free between tokens.  Indices are integers for L
+and M and half-odd rationals written over 2 for Y ("Y[-3/2]"); signs sit
+inside the brackets.  The "*" between a scalar and its generator is
+mandatory.  Parsing and formatting are mutually inverse on canonical values.
+Every malformed input, a number past the int-string limit included, raises
+`ParseError` with its line and column.  `parse_source` takes its rank from
+the factors of the first term.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,56 +47,24 @@ class Token:
     col: int
 
 
+_TOKEN = re.compile(r"(?P<NUM>\d+)|(?P<OTIMES>\(x\)|⊗)|(?P<LBRACK>\[)|(?P<RBRACK>\])"
+                    r"|(?P<PLUS>\+)|(?P<MINUS>-)|(?P<STAR>\*)|(?P<SLASH>/)|(?P<NAME>[LMY])"
+                    r"|(?P<SPACE>[ \t\r]+)|(?P<NEWLINE>\n)|(?P<BAD>.)", re.DOTALL)
+
+
 def _tokenize(text: str, first_line: int = 1, first_col: int = 1) -> list[Token]:
     toks = []
-    line, col = first_line, first_col
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            col += 1
-            i += 1
-            continue
-        start = (line, col)
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("NUM", text[i:j], *start))
-            col += j - i
-            i = j
-            continue
-        if ch == "(":
-            if text[i:i + 3] == "(x)":
-                toks.append(Token("OTIMES", "(x)", *start))
-                col += 3
-                i += 3
-                continue
-            raise ParseError("expected the tensor separator '(x)'", line, col)
-        if ch == "⊗":  # tensor sign alias
-            toks.append(Token("OTIMES", ch, *start))
-            col += 1
-            i += 1
-            continue
-        simple = {"[": "LBRACK", "]": "RBRACK", "+": "PLUS", "-": "MINUS",
-                  "*": "STAR", "/": "SLASH"}
-        if ch in simple:
-            toks.append(Token(simple[ch], ch, *start))
-            col += 1
-            i += 1
-            continue
-        if ch in "LMY":
-            toks.append(Token("NAME", ch, *start))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("END", "", line, col))
+    line, base = first_line, -first_col  # a token's column is its offset minus base
+    for m in _TOKEN.finditer(text):
+        kind, pos = m.lastgroup, m.start()
+        if kind == "NEWLINE":
+            line, base = line + 1, pos
+        elif kind == "BAD":
+            raise ParseError("expected the tensor separator '(x)'" if m.group() == "("
+                             else f"unexpected character {m.group()!r}", line, pos - base)
+        elif kind != "SPACE":
+            toks.append(Token(kind, m.group(), line, pos - base))
+    toks.append(Token("END", "", line, len(text) - base))
     return toks
 
 
@@ -114,42 +88,52 @@ class _Parser:
                              self.tok.line, self.tok.col)
         return self.advance()
 
-    def parse_value(self, rank: int):
-        cls = _CLASS_OF_RANK[rank]
+    def parse_value(self, rank: int | None):
+        # rank None: the first term fixes the rank, and a bare "0" is rank 2
         if self.tok.kind == "NUM" and self.tok.text == "0" \
                 and self.tokens[self.pos + 1].kind == "END":
-            self.advance()
-            self.expect("END", "end of input")
-            return cls.zero()
+            self.rank = rank or 2
+            return _CLASS_OF_RANK[self.rank].zero()
         items = [self.parse_term(rank, Fraction(1))]
+        self.rank = rank = len(items[0][0])
         while self.tok.kind in ("PLUS", "MINUS"):
             sign = Fraction(1) if self.advance().kind == "PLUS" else Fraction(-1)
             items.append(self.parse_term(rank, sign))
         self.expect("END", "'+', '-' or end of input")
-        return cls(items)
+        return _CLASS_OF_RANK[rank]([(gens[0] if rank == 1 else gens, c) for gens, c in items])
 
-    def parse_term(self, rank: int, sign: Fraction):
+    def parse_term(self, rank: int | None, sign: Fraction) -> tuple[tuple, Fraction]:
+        # rank None reads factors while a separator follows, at most three
         coeff = sign
         if self.tok.kind in ("NUM", "MINUS"):
             coeff *= self.parse_rational()
             self.expect("STAR", "'*' between scalar and generator")
         gens = [self.parse_gen()]
-        for _ in range(rank - 1):
+        while len(gens) != rank and (rank or self.tok.kind == "OTIMES"):
+            if len(gens) == 3:
+                raise ParseError("too many tensor factors (at most 3)",
+                                 self.tok.line, self.tok.col)
             self.expect("OTIMES", "'(x)'")
             gens.append(self.parse_gen())
-        key = gens[0] if rank == 1 else tuple(gens)
-        return key, coeff
+        return tuple(gens), coeff
+
+    def parse_number(self, what: str) -> tuple[Token, int]:
+        tok = self.expect("NUM", what)
+        try:
+            return tok, int(tok.text)
+        except ValueError:  # past the int-string limit
+            raise ParseError(f"number longer than {sys.get_int_max_str_digits()} digits",
+                             tok.line, tok.col) from None
 
     def parse_rational(self) -> Fraction:
         sign = 1
         if self.tok.kind == "MINUS":
             self.advance()
             sign = -1
-        num = int(self.expect("NUM", "a number").text)
+        num = self.parse_number("a number")[1]
         if self.tok.kind == "SLASH":
             self.advance()
-            dtok = self.expect("NUM", "a denominator")
-            den = int(dtok.text)
+            dtok, den = self.parse_number("a denominator")
             if den == 0:
                 raise ParseError("malformed rational: zero denominator",
                                  dtok.line, dtok.col)
@@ -195,29 +179,11 @@ class SourceExpr:
 
 
 def parse_source(text: str) -> SourceExpr:
-    """Parse text whose rank (element, rank-2 or rank-3 tensor) is detected
-    from the tensor separators of its first term.  A bare "0" parses as the
-    zero rank-2 tensor."""
-    tokens = _tokenize(text)
-    rank = 1
-    seen_gen = False
-    depth = 0
-    for t in tokens:
-        if t.kind == "LBRACK":
-            depth += 1
-        elif t.kind == "RBRACK":
-            depth -= 1
-            seen_gen = True
-        elif t.kind == "OTIMES":
-            rank += 1
-        elif t.kind in ("PLUS", "MINUS") and seen_gen and depth == 0:
-            break
-    if rank > 3:
-        raise ParseError("too many tensor factors (at most 3)", 1, 1)
-    if not seen_gen:
-        rank = 2
-    value = _Parser(tokens).parse_value(rank)
-    return SourceExpr(text, value, rank)
+    """Parse an element, rank-2 or rank-3 tensor, whose rank the first term
+    fixes.  A bare "0" parses as the zero rank-2 tensor."""
+    parser = _Parser(_tokenize(text))
+    value = parser.parse_value(None)
+    return SourceExpr(text, value, parser.rank)
 
 
 def format(value) -> str:

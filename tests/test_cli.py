@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from svlie.cli import run
 
@@ -70,6 +74,8 @@ def test_bracket_and_act(capsys):
                           "L[1] (x) M[0] (x) Y[1/2]")
     assert code == 0
     assert out == "3/2 * L[1] (x) M[0] (x) Y[1/2]\n"
+    # on an element the diagonal action is the bracket
+    assert invoke(capsys, "act", "L[1]", "--on", "L[-1]") == (0, "-2 * L[0]\n", "")
 
 
 def test_cojacobi_command(capsys):
@@ -209,3 +215,54 @@ def test_help_returns_exit_0(capsys, argv):
     assert code == 0
     assert out.startswith("usage: sv " + " ".join(argv[:-1]).strip())
     assert err == ""
+
+
+# argv expressions for the fuzz test: printed values, junk made of grammar
+# tokens, and printed values with junk spliced in ('²' is a digit to
+# str.isdigit and not to int, '\n' starts a new line of the input)
+_PIECES = ["L[1]", "M[-2]", "Y[1/2]", "Y[1]", "L[0]", "M[0]", " (x) ", "⊗", " + ", " - ",
+           "2 * ", "-1/2 * ", "0", "L", "[", "]", "/", "*", "-", "²", "$", "(", "\n"]
+_junk = st.lists(st.sampled_from(_PIECES), max_size=8).map("".join)
+_ELEMENTS = ["L[1]", "0", "2 * M[-1] - Y[1/2]", "-1/2 * L[-2] + M[0]"]
+_TENSORS = ["0", "L[1] (x) M[0]", "L[1] (x) L[2] - L[2] (x) L[1]",
+            "M[1] (x) Y[1/2] - Y[1/2] (x) M[1]", "L[0] (x) M[0] - M[0] (x) L[0] + M[0] (x) M[0]",
+            "L[0] (x) M[2] - M[2] (x) L[0] + L[-1] (x) Y[1/2] - Y[1/2] (x) L[-1]",
+            "L[2] (x) Y[-1/2] (x) M[0] - 1/2 * M[0] (x) L[1] (x) L[1]"]
+
+
+@st.composite
+def _exprs(draw, printed):
+    text, junk = draw(st.sampled_from(printed)), draw(_junk)
+    how = draw(st.sampled_from(["printed", "printed", "spliced", "junk"]))
+    if how == "spliced":
+        at = draw(st.integers(0, len(text)))
+        return text[:at] + junk + text[at:]
+    return text if how == "printed" else junk
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(["bracket", "act", "cybe", "cybe --mybe", "classify"]))
+    if command == "bracket":
+        argv = ["bracket", draw(_exprs(_ELEMENTS)), draw(_exprs(_ELEMENTS))]
+    elif command == "act":
+        argv = ["act", draw(_exprs(_ELEMENTS)), "--on", draw(_exprs(_ELEMENTS + _TENSORS))]
+    else:
+        argv = command.split() + [draw(_exprs(_TENSORS))]
+    return argv + draw(st.sampled_from([[], ["--format", "json"]]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_argvs())
+def test_argv_fuzz_keeps_the_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    else:
+        assert err == "", argv
+        if "json" in argv:
+            assert json.loads(out)["exit_code"] == code
