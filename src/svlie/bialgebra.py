@@ -37,7 +37,7 @@ from .algebra import (
     basis_window,
     bracket_basis,
 )
-from .linalg import _action_rows, _by_degree, _solve, TensorWindowBasis
+from .linalg import _action_rows, _by_degree, _solve
 from .tensors import (
     NotSkewError,
     Tensor2,
@@ -430,7 +430,7 @@ def match_inner_on_generators(t: DerivationTable, bound) -> Tensor2 | None:
     witness has no M_0 (x) M_0 component, which the action annihilates
     anyway.  None means no witness exists on this window.
     """
-    blocks = _by_degree(TensorWindowBasis(2, bound).keys)
+    blocks = _by_degree(2, bound)
     targets: dict[HalfInt, list] = {}
     for gi, g in enumerate(GENERATORS):
         img = t.image(g)

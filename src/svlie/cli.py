@@ -6,6 +6,10 @@ text or, with --format json, a single structured document.  Exit codes:
 mathematical answer (equation violated, axiom failed, no candidate class),
 2 for usage or parse errors.  Identical argument vectors produce
 byte-identical output, including under --jobs > 1.
+
+Every option is long except -h, so any other token that starts with a
+single '-' is a value: a signed number, element or tensor, in an option's
+value or a positional alike.
 """
 
 from __future__ import annotations
@@ -50,6 +54,11 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+    def _parse_optional(self, arg_string):
+        if arg_string.startswith("-") and not arg_string.startswith("--") and arg_string != "-h":
+            return None  # a value (see the module docstring)
+        return super()._parse_optional(arg_string)
 
 
 def _halfint(text: str) -> HalfInt:
@@ -292,32 +301,10 @@ _HANDLERS = {
 }
 
 
-_VALUE_OPTIONS = ("--coeffs", "--d", "--r", "--on")
-
-
-def _merge_values(argv: list[str]) -> list[str]:
-    # let option values start with '-' (negative coefficients, signed terms)
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _VALUE_OPTIONS and i + 1 < len(argv):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
-    return out
-
-
 def run(argv=None) -> int:
     """Execute one command; returns the exit code instead of raising."""
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = _merge_values(list(argv))
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _build_parser().parse_args(argv)
         code, text, payload = _HANDLERS[ns.command](ns)
     except SystemExit as exc:
         # -h or --help: argparse has printed the help text and exits 0

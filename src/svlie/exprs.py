@@ -15,8 +15,9 @@ and M and half-odd rationals written over 2 for Y ("Y[-3/2]"); signs sit
 inside the brackets.  The "*" between a scalar and its generator is
 mandatory.  Parsing and formatting are mutually inverse on canonical values.
 Every malformed input, a number past the int-string limit included, raises
-`ParseError` with its line and column.  `parse_source` takes its rank from
-the factors of the first term.
+`ParseError` with its line and column, and `format` holds its output to the
+same limit.  `parse_source` takes its rank from the factors of the first
+term.
 """
 
 from __future__ import annotations
@@ -187,8 +188,14 @@ def parse_source(text: str) -> SourceExpr:
 
 
 def format(value) -> str:
-    """Canonical, re-parseable text form; the zero value prints as "0"."""
-    return str(value)
+    """Canonical, re-parseable text form; the zero value prints as "0".
+    A value with a number past the int-string limit, which no input can
+    hold, raises ValueError."""
+    try:
+        return str(value)
+    except ValueError:
+        raise ValueError(f"the result has a number longer than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def parse_derivation_table(text: str) -> DerivationTable:

@@ -183,9 +183,13 @@ class TensorWindowBasis:
         return _tensor(self.rank, zip(self.keys, coords))
 
 
-def _by_degree(keys) -> dict[HalfInt, list[tuple]]:
+def _by_degree(rank: int, bound) -> dict[HalfInt, list[tuple]]:
+    """The keys of `TensorWindowBasis(rank, bound)` grouped by degree, each
+    block in basis order."""
+    if rank not in (1, 2, 3):
+        raise ValueError("rank must be 1, 2 or 3")
     blocks: dict[HalfInt, list[tuple]] = {}
-    for key in keys:
+    for key in itertools.product(basis_window(bound), repeat=rank):
         blocks.setdefault(_key_degree(key), []).append(key)
     return blocks
 
@@ -229,7 +233,7 @@ def invariant_tensors(rank: int, bound) -> list:
     invariant under the full diagonal action.  Returned vectors are
     normalized to leading coefficient 1 and sorted canonically.
     """
-    blocks = _by_degree(TensorWindowBasis(rank, bound).keys).values()
+    blocks = _by_degree(rank, bound).values()
     return sorted((t for block in blocks for t in _kernel(block, rank)), key=canonical_key)
 
 
@@ -245,6 +249,6 @@ def skew_action_space(bound) -> list[Tensor2]:
     unordered output pairs.  Expected to equal the skew tensors of the
     window plus the line through M_0 (x) M_0.
     """
-    blocks = _by_degree(TensorWindowBasis(2, bound).keys).values()
+    blocks = _by_degree(2, bound).values()
     return sorted((t for block in blocks for t in _kernel(block, 2, _unordered)),
                   key=canonical_key)

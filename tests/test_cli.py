@@ -1,12 +1,14 @@
 import contextlib
 import io
 import json
+import sys
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from svlie.cli import run
+from svlie.exprs import parse_element, parse_source, parse_tensor2
 
 
 def invoke(capsys, *argv):
@@ -209,7 +211,7 @@ def test_parser_reused_after_usage_error(capsys):
     assert invoke(capsys, "bracket", "L[1]", "L[2]") == (0, "L[3]\n", "")
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["search", "-h"]])
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["search", "-h"], ["bracket", "-h"]])
 def test_help_returns_exit_0(capsys, argv):
     code, out, err = invoke(capsys, *argv)
     assert code == 0
@@ -217,49 +219,125 @@ def test_help_returns_exit_0(capsys, argv):
     assert err == ""
 
 
-# argv expressions for the fuzz test: printed values, junk made of grammar
-# tokens, and printed values with junk spliced in ('²' is a digit to
+# a value with its spaces and the same value without them; the spaceless
+# value starts with '-', which argparse alone would take for an option
+@pytest.mark.parametrize("argv", [
+    ["bracket", "-1 * L[1]", "L[2]"],
+    ["bracket", "L[1]", "-1/2 * Y[1/2] + M[0]"],
+    ["act", "-2 * L[1]", "--on", "L[2] (x) M[0]"],
+    ["act", "L[1]", "--on", "-1 * L[2] (x) M[0] + M[0] (x) L[2]"],
+    ["act", "L[1]", "--on", "-1 * M[1]", "--format", "json"],
+    ["cybe", "-1/2 * Y[1/2] (x) M[0] + 1/2 * M[0] (x) Y[1/2]"],
+    ["cybe", "--mybe", "-1 * L[1] (x) L[-1] + L[-1] (x) L[1]"],
+    ["classify", "-1 * L[0] (x) L[2] + L[2] (x) L[0]"],
+    ["classify", "-1 * L[1] (x) L[2] + L[2] (x) L[1]", "--format", "json"],
+])
+def test_signed_values_read_with_or_without_spaces(capsys, argv):
+    spaced = invoke(capsys, *argv)
+    assert spaced[2] == ""
+    assert invoke(capsys, *(a.replace(" ", "") for a in argv)) == spaced
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--window", "1", "--coeffs", "-1,1", "--max-terms", "1"],
+    ["search", "--window", "1", "--coe", "-1,1", "--max-terms", "1"],
+    ["certify", "--d", "-1,1,0,0,0,0", "--window", "3"],
+    ["cojacobi", "--d", "-1,1,0,0,0,0", "--window", "2"],
+    ["certify", "--r", "-1*M[1](x)Y[1/2]+Y[1/2](x)M[1]", "--window", "3"],
+    ["certify", "--r", "-1*L[1](x)L[-1]+L[-1](x)L[1]", "--window", "3", "--format", "json"],
+])
+def test_signed_option_values(capsys, argv):
+    # the value as its own token reads as the value joined by '='
+    i = next(i for i, a in enumerate(argv) if a[:1] == "-" and a[:2] != "--")
+    joined = argv[:i - 1] + [f"{argv[i - 1]}={argv[i]}"] + argv[i + 1:]
+    got = invoke(capsys, *argv)
+    assert got[0] in (0, 1) and got[2] == ""
+    assert got == invoke(capsys, *joined)
+
+
+def test_a_one_dash_token_is_a_value(capsys):
+    code, out, err = invoke(capsys, "bracket", "-x", "L[1]")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 1, column 2: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
+def test_results_past_the_int_string_limit(capsys, fmt):
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("the int-string limit is off")
+    big = "9" * limit  # the longest number an input may hold
+    assert invoke(capsys, "bracket", f"{big} * L[1]", "L[2]", *fmt)[0] == 0
+    # a coefficient, then an index, of limit + 1 digits or more
+    for x, y in [(f"{big} * L[1]", f"{big} * L[2]"), (f"L[{big}]", f"L[{big[1:]}8]")]:
+        code, out, err = invoke(capsys, "bracket", x, y, *fmt)
+        assert (code, out) == (2, "")
+        assert err == f"error: the result has a number longer than {limit} digits\n"
+
+
+# argv expressions for the fuzz test: printed values, printed values with
+# their spaces removed (a leading '-' then touches the number), junk made of
+# grammar tokens, and printed values with junk spliced in ('²' is a digit to
 # str.isdigit and not to int, '\n' starts a new line of the input)
 _PIECES = ["L[1]", "M[-2]", "Y[1/2]", "Y[1]", "L[0]", "M[0]", " (x) ", "⊗", " + ", " - ",
            "2 * ", "-1/2 * ", "0", "L", "[", "]", "/", "*", "-", "²", "$", "(", "\n"]
 _junk = st.lists(st.sampled_from(_PIECES), max_size=8).map("".join)
-_ELEMENTS = ["L[1]", "0", "2 * M[-1] - Y[1/2]", "-1/2 * L[-2] + M[0]"]
+_ELEMENTS = ["L[1]", "0", "2 * M[-1] - Y[1/2]", "-1/2 * L[-2] + M[0]", "-1 * L[1]"]
 _TENSORS = ["0", "L[1] (x) M[0]", "L[1] (x) L[2] - L[2] (x) L[1]",
             "M[1] (x) Y[1/2] - Y[1/2] (x) M[1]", "L[0] (x) M[0] - M[0] (x) L[0] + M[0] (x) M[0]",
             "L[0] (x) M[2] - M[2] (x) L[0] + L[-1] (x) Y[1/2] - Y[1/2] (x) L[-1]",
+            "-1/2 * Y[1/2] (x) M[0] + 1/2 * M[0] (x) Y[1/2]",
             "L[2] (x) Y[-1/2] (x) M[0] - 1/2 * M[0] (x) L[1] (x) L[1]"]
 
 
 @st.composite
 def _exprs(draw, printed):
     text, junk = draw(st.sampled_from(printed)), draw(_junk)
-    how = draw(st.sampled_from(["printed", "printed", "spliced", "junk"]))
+    how = draw(st.sampled_from(["printed", "bare", "bare", "spliced", "junk"]))
     if how == "spliced":
         at = draw(st.integers(0, len(text)))
         return text[:at] + junk + text[at:]
-    return text if how == "printed" else junk
+    return {"printed": text, "bare": text.replace(" ", ""), "junk": junk}[how]
 
 
 @st.composite
 def _argvs(draw):
+    """An argv, and the parser of each of its values when parsing them is
+    all that may fail (classify also rejects tensors that parse)."""
     command = draw(st.sampled_from(["bracket", "act", "cybe", "cybe --mybe", "classify"]))
     if command == "bracket":
-        argv = ["bracket", draw(_exprs(_ELEMENTS)), draw(_exprs(_ELEMENTS))]
+        x, y = draw(_exprs(_ELEMENTS)), draw(_exprs(_ELEMENTS))
+        argv, parsers = ["bracket", x, y], [(parse_element, x), (parse_element, y)]
     elif command == "act":
-        argv = ["act", draw(_exprs(_ELEMENTS)), "--on", draw(_exprs(_ELEMENTS + _TENSORS))]
+        x, on = draw(_exprs(_ELEMENTS)), draw(_exprs(_ELEMENTS + _TENSORS))
+        argv, parsers = ["act", x, "--on", on], [(parse_element, x), (parse_source, on)]
     else:
-        argv = command.split() + [draw(_exprs(_TENSORS))]
-    return argv + draw(st.sampled_from([[], ["--format", "json"]]))
+        r = draw(_exprs(_TENSORS))
+        argv, parsers = command.split() + [r], [(parse_tensor2, r)]
+        if command == "classify":
+            parsers = None
+    return argv + draw(st.sampled_from([[], ["--format", "json"]])), parsers
+
+
+def _parses(parse, text) -> bool:
+    try:
+        parse(text)
+    except ValueError:
+        return False
+    return True
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(_argvs())
-def test_argv_fuzz_keeps_the_exit_contract(argv):
+def test_argv_fuzz_keeps_the_exit_contract(drawn):
+    argv, parsers = drawn
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2), argv
+    if parsers is not None and all(_parses(*p) for p in parsers):
+        assert code != 2, (argv, err)
     if code == 2:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
     else:

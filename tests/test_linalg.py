@@ -226,7 +226,7 @@ def reference_action_rows(block, fold=None):
 
 @pytest.mark.parametrize("rank", [2, 3])
 def test_action_rows_match_reference(rank):
-    blocks = _by_degree(TensorWindowBasis(rank, 1).keys).values()
+    blocks = _by_degree(rank, 1).values()
     folds = [None, _unordered] if rank == 2 else [None]
     for block in blocks:
         for fold in folds:
