@@ -12,8 +12,13 @@ center.  The algebra is graded over the half-integers by deg L_n = deg M_n
 = n and deg Y_p = p (the eigenvalue of ad L_0).
 
 Indices live in (1/2)Z and are stored as twice their value, so all index
-arithmetic is integer arithmetic.  Coefficients are `fractions.Fraction`,
-so equality of elements is decidable and exact.
+arithmetic is integer arithmetic.  The brackets above are one table,
+`_BRACKETS`, from a pair of kinds (a, b) to (c, p, q), read as
+
+    [a_m, b_n] = (p * 2m + q * 2n) / 4 * c_{m+n}.
+
+Coefficients are `fractions.Fraction`, so equality of elements is
+decidable and exact.
 
 Every value in this module is immutable after construction and every
 operation is a pure function; values can be shared freely across workers.
@@ -93,6 +98,11 @@ class HalfInt:
 KIND_RANK = {"L": 0, "Y": 1, "M": 2}
 
 
+def _fits(kind: str, twice: int) -> bool:
+    """The kind rule: a Y index is half-odd, an L or M index an integer."""
+    return twice % 2 == (kind == "Y")
+
+
 @functools.total_ordering
 @dataclass(frozen=True)
 class BasisVector:
@@ -104,11 +114,9 @@ class BasisVector:
     def __post_init__(self):
         if self.kind not in KIND_RANK:
             raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.kind == "Y":
-            if self.index.is_integer:
-                raise ParityError(f"Y index must be half-odd, got {self.index}")
-        elif not self.index.is_integer:
-            raise ParityError(f"{self.kind} index must be an integer, got {self.index}")
+        if not _fits(self.kind, self.index.twice):
+            want = "half-odd" if self.kind == "Y" else "an integer"
+            raise ParityError(f"{self.kind} index must be {want}, got {self.index}")
 
     @property
     def sort_key(self) -> tuple[int, int]:
@@ -116,10 +124,6 @@ class BasisVector:
 
     def __lt__(self, other: "BasisVector") -> bool:
         return self.sort_key < other.sort_key
-
-    @property
-    def degree(self) -> HalfInt:
-        return self.index
 
     def __str__(self) -> str:
         return f"{self.kind}[{self.index}]"
@@ -153,7 +157,8 @@ class _Linear:
     """Finite linear combination over Fraction, canonical (no zero terms).
 
     Instances are immutable by convention: no method mutates `_terms`
-    after construction.
+    after construction.  Subclasses define the static methods `_check_key`,
+    `_sort_key`, `_key_degree` and `_format_key`.
     """
 
     __slots__ = ("_terms",)
@@ -176,23 +181,6 @@ class _Linear:
     @classmethod
     def zero(cls):
         return cls._make({})
-
-    # subclasses override these four
-    @staticmethod
-    def _check_key(key) -> None:
-        raise NotImplementedError
-
-    @staticmethod
-    def _sort_key(key):
-        raise NotImplementedError
-
-    @staticmethod
-    def _key_degree(key) -> HalfInt:
-        raise NotImplementedError
-
-    @staticmethod
-    def _format_key(key) -> str:
-        raise NotImplementedError
 
     @property
     def is_zero(self) -> bool:
@@ -304,29 +292,25 @@ class Element(_Linear):
         return cls._make({bv: Fraction(1)})
 
 
+# The structure constants (see the module docstring); unlisted pairs bracket to zero.
+_BRACKETS = {
+    ("L", "L"): ("L", -2, 2),
+    ("L", "M"): ("M", 0, 2),
+    ("M", "L"): ("M", -2, 0),
+    ("L", "Y"): ("Y", -1, 2),
+    ("Y", "L"): ("Y", -2, 1),
+    ("Y", "Y"): ("M", -2, 2),
+}
+
+
 def bracket_basis(a: BasisVector, b: BasisVector):
     """Bracket of two basis vectors: None if zero, else (coefficient, basis vector)."""
+    kind, p, q = _BRACKETS.get((a.kind, b.kind), (None, 0, 0))
     ta, tb = a.index.twice, b.index.twice
-    if a.kind == "L":
-        if b.kind == "L":
-            c, kind = Fraction(tb - ta, 2), "L"
-        elif b.kind == "M":
-            c, kind = Fraction(tb, 2), "M"
-        else:
-            c, kind = Fraction(2 * tb - ta, 4), "Y"
-        if not c:
-            return None
-        return c, BasisVector(kind, HalfInt(ta + tb))
-    if b.kind == "L":
-        hit = bracket_basis(b, a)
-        return None if hit is None else (-hit[0], hit[1])
-    if a.kind == "Y" and b.kind == "Y":
-        c = Fraction(tb - ta, 2)
-        if not c:
-            return None
-        return c, BasisVector("M", HalfInt(ta + tb))
-    # M brackets to zero against everything but L
-    return None
+    c = p * ta + q * tb
+    if not c:
+        return None
+    return Fraction(c, 4), BasisVector(kind, HalfInt(ta + tb))
 
 
 def bracket(x: Element, y: Element) -> Element:
@@ -351,11 +335,5 @@ def basis_window(bound) -> list[BasisVector]:
     t = HalfInt.of(bound).twice
     if t < 0:
         raise ValueError("window bound must be nonnegative")
-    out = []
-    for kind in ("L", "Y", "M"):
-        if kind == "Y":
-            twices = [k for k in range(-t, t + 1) if k % 2]
-        else:
-            twices = [2 * n for n in range(-(t // 2), t // 2 + 1)]
-        out.extend(BasisVector(kind, HalfInt(k)) for k in twices)
-    return out
+    return [BasisVector(kind, HalfInt(k)) for kind in KIND_RANK
+            for k in range(-t, t + 1) if _fits(kind, k)]

@@ -150,7 +150,7 @@ def _spec_from_args(ns) -> CocommutatorSpec:
 
 def _cmd_bracket(ns):
     result = format_value(bracket(parse_element(ns.x), parse_element(ns.y)))
-    return 0, result, {"command": "bracket", "result": result}
+    return 0, result, {"result": result}
 
 
 def _cmd_act(ns):
@@ -159,7 +159,7 @@ def _cmd_act(ns):
     # on an element (rank 1) the diagonal action is the bracket
     act = {1: bracket, 2: diag_act2, 3: diag_act3}[src.rank]
     result = format_value(act(x, src.value))
-    return 0, result, {"command": "act", "result": result}
+    return 0, result, {"result": result}
 
 
 def _cmd_cybe(ns):
@@ -169,8 +169,7 @@ def _cmd_cybe(ns):
     else:
         ok, name = check_cybe(r), "CYBE"
     text = f"{name}: {'satisfied' if ok else 'violated'}"
-    payload = {"command": "cybe", "equation": name.lower(),
-               "input": format_value(r), "satisfied": ok}
+    payload = {"equation": name.lower(), "input": format_value(r), "satisfied": ok}
     return (0 if ok else 1), text, payload
 
 
@@ -178,11 +177,10 @@ def _cmd_cojacobi(ns):
     failure = _first_cojacobi_failure(window_scan_order(ns.window),
                                       image_memo(_spec_from_args(ns)))
     if failure is None:
-        payload = {"command": "cojacobi", "holds": True, "window": str(ns.window)}
+        payload = {"holds": True, "window": str(ns.window)}
         return 0, f"co-Jacobi: holds (window {ns.window})", payload
     bv, defect = failure.inputs[0], format_value(failure.value)
-    payload = {"command": "cojacobi", "holds": False, "fails_at": str(bv),
-               "defect": defect, "window": str(ns.window)}
+    payload = {"holds": False, "fails_at": str(bv), "defect": defect, "window": str(ns.window)}
     return 1, f"co-Jacobi: fails at {bv}\ndefect: {defect}", payload
 
 
@@ -203,7 +201,7 @@ def _cmd_derive_check(ns):
         f"co-Jacobi: {'ok' if report.co_jacobi else 'FAIL'}",
         f"compatibility: {'ok' if report.compatibility else 'FAIL'}",
     ]
-    payload = {"command": "derive-check", "window": str(window),
+    payload = {"window": str(window),
                "image_skew": report.image_skew, "co_jacobi": report.co_jacobi,
                "compatibility": report.compatibility, "counterexample": None}
     if report.counterexample is not None:
@@ -226,7 +224,7 @@ def _cmd_decompose(ns):
         payload_comps[str(degree)] = entries
     if not comps:
         lines.append("zero table: no components")
-    payload = {"command": "decompose", "components": payload_comps}
+    payload = {"components": payload_comps}
     return 0, "\n".join(lines), payload
 
 
@@ -241,8 +239,7 @@ def _cmd_classify(ns):
         text = f"top degree {p}: NotCandidate (cannot head a CYBE solution)"
     else:
         text = f"top degree {p}: {', '.join(names)}"
-    payload = {"command": "classify", "top_degree": str(p), "labels": names,
-               "candidate": not not_candidate}
+    payload = {"top_degree": str(p), "labels": names, "candidate": not not_candidate}
     return (1 if not_candidate else 0), text, payload
 
 
@@ -254,18 +251,16 @@ def _cmd_search(ns):
     lines = texts + [f"count: {len(solutions)}",
                      f"window: {cfg.bound}  coeffs: {coeff_echo}  "
                      f"max-terms: {cfg.max_terms}  jobs: {cfg.jobs}"]
-    payload = {"command": "search",
-               "config": {"window": str(cfg.bound), "coeffs": coeff_echo,
+    payload = {"config": {"window": str(cfg.bound), "coeffs": coeff_echo,
                           "max_terms": cfg.max_terms, "jobs": cfg.jobs},
-               "count": len(solutions),
-               "solutions": texts}
+               "count": len(solutions), "solutions": texts}
     return 0, "\n".join(lines), payload
 
 
 def _cmd_invariants(ns):
     basis = invariant_tensors(ns.rank, ns.window)
     texts = [format_value(t) for t in basis]
-    payload = {"command": "invariants", "rank": ns.rank, "window": str(ns.window),
+    payload = {"rank": ns.rank, "window": str(ns.window),
                "dimension": len(basis), "basis": texts}
     return 0, "\n".join(texts + [f"dimension: {len(basis)}"]), payload
 
@@ -280,8 +275,7 @@ def _cmd_certify(ns):
         tri = "yes" if result.is_triangular_coboundary else "no"
         text = f"Lie bialgebra: yes; triangular coboundary: {tri}"
         code = 0
-    payload = {"command": "certify", "verdict": result.verdict,
-               "bialgebra": result.is_bialgebra,
+    payload = {"verdict": result.verdict, "bialgebra": result.is_bialgebra,
                "triangular_coboundary": result.is_triangular_coboundary,
                "reason": result.reason, "window": str(ns.window)}
     return code, text, payload
@@ -317,8 +311,7 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if getattr(ns, "format", "text") == "json":
-        payload["exit_code"] = code
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({"command": ns.command, **payload, "exit_code": code}, indent=2))
     else:
         print(text)
     return code

@@ -26,6 +26,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import BasisVector, Element, HalfInt, ParityError
 from .bialgebra import DerivationTable
@@ -40,8 +41,7 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int

@@ -13,6 +13,7 @@ from svlie import (
     Y,
     basis_window,
     bracket,
+    bracket_basis,
     is_central,
 )
 
@@ -42,12 +43,14 @@ def test_halfint_arithmetic_and_order():
 
 
 def test_basis_vector_parity_enforced():
-    with pytest.raises(ParityError):
-        Y(1)
-    with pytest.raises(ParityError):
-        BasisVector("L", HalfInt(3))
-    with pytest.raises(ParityError):
-        BasisVector("M", HalfInt(-5))
+    for build, message in [(lambda: Y(1), "Y index must be half-odd, got 1"),
+                           (lambda: BasisVector("L", HalfInt(1)),
+                            "L index must be an integer, got 1/2"),
+                           (lambda: BasisVector("M", HalfInt(-5)),
+                            "M index must be an integer, got -5/2")]:
+        with pytest.raises(ParityError) as exc:
+            build()
+        assert str(exc.value) == message
     assert Y(F(1, 2)).index.twice == 1
 
 
@@ -169,3 +172,57 @@ def test_element_rejects_float_scalars():
         Element([(L(0), 0.5)])
     with pytest.raises(TypeError):
         0.5 * eb(L(0))
+
+
+def reference_bracket_basis(a, b):
+    """The structure constants as one branch per kind pair."""
+    ta, tb = a.index.twice, b.index.twice
+    if a.kind == "L":
+        if b.kind == "L":
+            c, kind = F(tb - ta, 2), "L"
+        elif b.kind == "M":
+            c, kind = F(tb, 2), "M"
+        else:
+            c, kind = F(2 * tb - ta, 4), "Y"
+        if not c:
+            return None
+        return c, BasisVector(kind, HalfInt(ta + tb))
+    if b.kind == "L":
+        hit = reference_bracket_basis(b, a)
+        return None if hit is None else (-hit[0], hit[1])
+    if a.kind == "Y" and b.kind == "Y":
+        c = F(tb - ta, 2)
+        if not c:
+            return None
+        return c, BasisVector("M", HalfInt(ta + tb))
+    return None
+
+
+def reference_basis_window(bound):
+    """The window built one kind at a time, with a parity branch per kind."""
+    t = HalfInt.of(bound).twice
+    if t < 0:
+        raise ValueError("window bound must be nonnegative")
+    out = []
+    for kind in ("L", "Y", "M"):
+        if kind == "Y":
+            twices = [k for k in range(-t, t + 1) if k % 2]
+        else:
+            twices = [2 * n for n in range(-(t // 2), t // 2 + 1)]
+        out.extend(BasisVector(kind, HalfInt(k)) for k in twices)
+    return out
+
+
+def test_bracket_basis_matches_reference():
+    window = basis_window(4)
+    for a in window:
+        for b in window:
+            got = bracket_basis(a, b)
+            assert got == reference_bracket_basis(a, b), (a, b)
+            assert got is None or type(got[0]) is F
+
+
+def test_basis_window_matches_reference():
+    for twice in range(13):
+        bound = F(twice, 2)
+        assert basis_window(bound) == reference_basis_window(bound), bound

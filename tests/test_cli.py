@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from svlie import SpecialDerivation
 from svlie.cli import run
 from svlie.exprs import parse_element, parse_source, parse_tensor2
 
@@ -288,6 +289,14 @@ _TENSORS = ["0", "L[1] (x) M[0]", "L[1] (x) L[2] - L[2] (x) L[1]",
             "L[0] (x) M[2] - M[2] (x) L[0] + L[-1] (x) Y[1/2] - Y[1/2] (x) L[-1]",
             "-1/2 * Y[1/2] (x) M[0] + 1/2 * M[0] (x) Y[1/2]",
             "L[2] (x) Y[-1/2] (x) M[0] - 1/2 * M[0] (x) L[1] (x) L[1]"]
+# --d values: printed parameter lists (skew, not skew, zero), and junk
+_CSVS = ["1,-1,0,0,0,0", "0,0,1,-1,0,0", "1/2,-1/2,-2,2,3,-3", "1,0,0,0,0,0", "0,0,0,0,0,0"]
+_csv_junk = st.lists(st.sampled_from(["1", "-1/2", "0", ",", "/", " ", "x", "1/0"]),
+                     max_size=12).map("".join)
+# --window values: every one is small, since nothing bounds a window yet; the
+# first three suit both commands, certify needs at least 2 and no bound is negative
+_WINDOWS = ["2", "5/2", "3", "1", "0", "-1", "1/3", "x"]
+_GOOD_WINDOWS = {"certify": {"2", "5/2", "3"}, "cojacobi": {"2", "5/2", "3", "1", "0"}}
 
 
 @st.composite
@@ -303,14 +312,26 @@ def _exprs(draw, printed):
 @st.composite
 def _argvs(draw):
     """An argv, and the parser of each of its values when parsing them is
-    all that may fail (classify also rejects tensors that parse)."""
-    command = draw(st.sampled_from(["bracket", "act", "cybe", "cybe --mybe", "classify"]))
+    all that may fail (classify also rejects tensors that parse; certify and
+    cojacobi also need a suitable window and one of --r and --d)."""
+    command = draw(st.sampled_from(["bracket", "act", "cybe", "cybe --mybe", "classify",
+                                    "certify", "cojacobi"]))
     if command == "bracket":
         x, y = draw(_exprs(_ELEMENTS)), draw(_exprs(_ELEMENTS))
         argv, parsers = ["bracket", x, y], [(parse_element, x), (parse_element, y)]
     elif command == "act":
         x, on = draw(_exprs(_ELEMENTS)), draw(_exprs(_ELEMENTS + _TENSORS))
         argv, parsers = ["act", x, "--on", on], [(parse_element, x), (parse_source, on)]
+    elif command in _GOOD_WINDOWS:
+        window = draw(st.sampled_from(_WINDOWS[:3]) | st.sampled_from(_WINDOWS[3:]))
+        argv, parsers = [command, "--window", window], []
+        for option in draw(st.sampled_from([("--r",), ("--d",), ("--r", "--d"), ()])):
+            value = draw(_exprs(_TENSORS) if option == "--r"
+                         else st.sampled_from(_CSVS) | _csv_junk)
+            parse = parse_tensor2 if option == "--r" else SpecialDerivation.from_csv
+            argv, parsers = argv + [option, value], parsers + [(parse, value)]
+        if not parsers or window not in _GOOD_WINDOWS[command]:
+            parsers = None
     else:
         r = draw(_exprs(_TENSORS))
         argv, parsers = command.split() + [r], [(parse_tensor2, r)]
@@ -322,7 +343,7 @@ def _argvs(draw):
 def _parses(parse, text) -> bool:
     try:
         parse(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         return False
     return True
 
