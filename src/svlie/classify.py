@@ -37,7 +37,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import HalfInt, L, M, Y, basis_window
+from .algebra import HalfInt, L, M, Y, _as_frac, basis_window
 from .tensors import NotSkewError, Tensor2, canonical_key, is_skew, yang_baxter_c
 
 NOT_CANDIDATE = "NotCandidate"
@@ -165,7 +165,7 @@ class SearchConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "bound", HalfInt.of(self.bound))
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(_as_frac(c) for c in self.coeffs))
         if self.max_terms < 1:
             raise ValueError("max_terms must be at least 1")
         if self.jobs < 1:
@@ -202,25 +202,22 @@ def enumerate_skew_candidates(cfg: SearchConfig) -> list[Tensor2]:
     return sorted(reps, key=canonical_key)
 
 
-def _cybe_flags(chunk: list[Tensor2]) -> list[bool]:
-    return [yang_baxter_c(r).is_zero for r in chunk]
+def _is_solution(r: Tensor2) -> bool:
+    return yang_baxter_c(r).is_zero
 
 
 def search_cybe(cfg: SearchConfig) -> list[Tensor2]:
     """All enumerated skew candidates satisfying the Yang-Baxter equation.
 
     The result is deterministic regardless of `jobs`: the candidate list is
-    fixed and workers only evaluate the exact membership test.  At most
-    `os.cpu_count()` worker processes start, however large `jobs` is.
+    fixed and workers only evaluate the exact membership test, one
+    contiguous chunk each.  At most `os.cpu_count()` worker processes start,
+    however large `jobs` is.
     """
     cands = enumerate_skew_candidates(cfg)
-    workers = min(cfg.jobs, os.cpu_count() or 1)
-    if workers > 1 and len(cands) > 1:
-        size = -(-len(cands) // workers)
-        chunks = [cands[i:i + size] for i in range(0, len(cands), size)]
+    workers = min(cfg.jobs, os.cpu_count() or 1, len(cands))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_cybe_flags, chunks))
-        flags = [f for part in parts for f in part]
-    else:
-        flags = _cybe_flags(cands)
-    return [r for r, ok in zip(cands, flags) if ok]
+            flags = pool.map(_is_solution, cands, chunksize=-(-len(cands) // workers))
+            return list(itertools.compress(cands, flags))
+    return [r for r in cands if _is_solution(r)]

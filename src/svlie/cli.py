@@ -81,6 +81,11 @@ def _build_parser() -> _Parser:
     fmt = _Parser(add_help=False)
     fmt.add_argument("--format", choices=("text", "json"), default=argparse.SUPPRESS,
                      help="output format (default text)")
+    # the cocommutator Delta_r + D that cojacobi and certify read
+    spec = _Parser(add_help=False)
+    spec.add_argument("--r", metavar="TENSOR")
+    spec.add_argument("--d", metavar="CSV", help="six parameters a,a',b,b',g,g'")
+    spec.add_argument("--window", type=_halfint, default=HalfInt.of(6))
 
     top = _Parser(prog="sv", parents=[fmt],
                   description="Exact workbench for the Schrodinger-Virasoro Lie algebra.")
@@ -99,10 +104,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--mybe", action="store_true",
                    help="check the modified equation x.c(r) = 0 instead")
 
-    p = sub.add_parser("cojacobi", parents=[fmt], help="co-Jacobi identity on a window")
-    p.add_argument("--r", metavar="TENSOR")
-    p.add_argument("--d", metavar="CSV", help="six parameters a,a',b,b',g,g'")
-    p.add_argument("--window", type=_halfint, default=HalfInt.of(6))
+    sub.add_parser("cojacobi", parents=[fmt, spec], help="co-Jacobi identity on a window")
 
     p = sub.add_parser("derive-check", parents=[fmt],
                        help="axiom report for a derivation table file")
@@ -129,10 +131,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--rank", type=int, required=True, choices=(1, 2, 3))
     p.add_argument("--window", type=_halfint, required=True)
 
-    p = sub.add_parser("certify", parents=[fmt], help="Lie bialgebra certification")
-    p.add_argument("--r", metavar="TENSOR")
-    p.add_argument("--d", metavar="CSV")
-    p.add_argument("--window", type=_halfint, default=HalfInt.of(6))
+    sub.add_parser("certify", parents=[fmt, spec], help="Lie bialgebra certification")
 
     return top
 

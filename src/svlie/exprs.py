@@ -219,4 +219,4 @@ def parse_derivation_table(text: str) -> DerivationTable:
         if bv in images:
             raise ParseError(f"duplicate entry for {bv}", lineno, 1)
         images[bv] = tensor
-    return DerivationTable.from_entries(images)
+    return DerivationTable(images)

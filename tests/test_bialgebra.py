@@ -202,23 +202,68 @@ def test_coboundary_identity_on_oracle_enumeration():
             assert coboundary_identity_check(r, eb(x))
 
 
+def reference_from_entries(images):
+    """The window as the largest bound fully covered by `images`, grown one
+    half step at a time."""
+    t = 0
+    while all(bv in images for bv in basis_window(HalfInt(t + 1))):
+        t += 1
+    return HalfInt(t)
+
+
 def test_derivation_table_window_inference():
     d = SpecialDerivation(1, -1, 0, 0, 2, -2)
-    full = special_derivation_table(d, 2)
-    rebuilt = DerivationTable.from_entries(full.images)
-    assert rebuilt.window == HalfInt.of(2)
-    partial = dict(full.images)
+    full = special_derivation_table(d, 2).images
+    partial = dict(full)
     del partial[Y(F(3, 2))]
-    assert DerivationTable.from_entries(partial).window == HalfInt.of(1)
+    ring_two_gap = dict(full)
+    del ring_two_gap[M(-1)]
+    no_half = dict(full)
+    del no_half[Y(-HALF)]
+    centre = {L(0): Tensor2.zero(), M(0): Tensor2.zero()}
+    far = {**centre, L(7): Tensor2.zero(), Y(F(3, 2)): Tensor2.zero()}
+    cases = [(full, 2), (partial, 1), (ring_two_gap, HALF), (no_half, 0), (centre, 0),
+             (far, 0), (special_derivation_table(d, 5).images, 5)]
+    for images, window in cases:
+        got = DerivationTable(images).window
+        assert got == HalfInt.of(window) == reference_from_entries(images)
     with pytest.raises(WindowTooSmallError):
-        DerivationTable.from_entries({L(0): Tensor2.zero()})
-    no_l0 = dict(full.images)
+        DerivationTable({L(0): Tensor2.zero()})
+    no_l0 = dict(full)
     del no_l0[L(0)]
     with pytest.raises(WindowTooSmallError, match=r"L\[0\] and M\[0\]"):
-        DerivationTable.from_entries(no_l0)
-    ring_two_gap = dict(full.images)
-    del ring_two_gap[M(-1)]
-    assert DerivationTable.from_entries(ring_two_gap).window == HalfInt.of(HALF)
+        DerivationTable(no_l0)
+
+
+def test_from_callable_window_is_its_bound():
+    for twice in range(9):
+        table = DerivationTable.from_callable(lambda bv: Tensor2.zero(), HalfInt(twice))
+        assert table.window == HalfInt(twice)
+        assert set(table.images) == set(basis_window(HalfInt(twice)))
+
+
+def test_derivation_table_window_is_lazy():
+    table = inner_derivation_table(wedge(L(0), M(1)), 2)
+    comps = decompose_derivation(table)
+    for t in (table, *comps.values()):
+        assert "window" not in vars(t)
+        assert t.window == HalfInt.of(2)
+        assert "window" in vars(t)
+
+
+def test_certify_without_d_is_coboundary_exactly_on_cybe():
+    # with D = 0, co-Jacobi forces c(r) = 0 (certify's docstring), so no skew
+    # r alone gives BialgebraNotCoboundary
+    from svlie import SearchConfig, enumerate_skew_candidates
+
+    cands = enumerate_skew_candidates(SearchConfig(HalfInt.of(HALF), (1, -1, 2), 2))
+    assert len(cands) == 96
+    seen = set()
+    for r in cands:
+        verdict = certify(CocommutatorSpec(r, SpecialDerivation.zero()), 2).verdict
+        assert verdict == (TRIANGULAR_COBOUNDARY if check_cybe(r) else NOT_BIALGEBRA)
+        seen.add(verdict)
+    assert seen == {TRIANGULAR_COBOUNDARY, NOT_BIALGEBRA}
 
 
 def test_check_axioms_window_too_small():
@@ -237,7 +282,7 @@ def test_table_checks_match_on_demand_checks():
 def test_decompose_examples():
     images = {bv: Tensor2.zero() for bv in basis_window(1)}
     images[L(1)] = t2(((M(0), M(1)), 1), ((L(0), M(3)), 1))
-    table = DerivationTable(HalfInt.of(1), images)
+    table = DerivationTable(images)
     comps = decompose_derivation(table)
     assert sorted(c.twice for c in comps) == [0, 4]
     assert comps[HalfInt.of(0)].image(L(1)) == t2(((M(0), M(1)), 1))
@@ -251,6 +296,15 @@ def test_decompose_examples():
     inner = inner_derivation_table(t2(((M(2), M(0)), 1)), 2)
     ic = decompose_derivation(inner)
     assert list(ic) == [HalfInt.of(2)]
+
+    # a component has its parent's keys, zero where the parent has no part
+    # of its degree, and so its parent's window, entries beyond it included
+    beyond = dict(images)
+    beyond[Y(F(5, 2))] = t2(((M(1), Y(F(-1, 2))), 1))
+    for parent in (table, special, inner, DerivationTable(beyond)):
+        for comp in decompose_derivation(parent).values():
+            assert comp.images.keys() == parent.images.keys()
+            assert comp.window == parent.window
 
 
 def test_decompose_components_sum_and_derive():
@@ -282,7 +336,7 @@ def test_inner_witness_mismatch_detected():
     v = t2(((M(2), M(0)), 1))
     images = dict(inner_derivation_table(v, 2).images)
     images[L(1)] = images[L(1)] + t2(((M(3), M(0)), 1))
-    broken = DerivationTable(HalfInt.of(2), images)
+    broken = DerivationTable(images)
     with pytest.raises(WitnessMismatchError):
         inner_witness_nonzero_degree(broken, 2)
 

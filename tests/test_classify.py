@@ -117,6 +117,12 @@ def test_search_empty_coefficients():
     assert search_cybe(small_cfg(coeffs=(F(0),))) == []
 
 
+def test_search_coefficients_must_be_exact():
+    with pytest.raises(TypeError, match="exact scalar"):
+        SearchConfig(1, (0.1,), 1)
+    assert small_cfg(coeffs=(1, F(1, 2))).coeffs == (F(1), F(1, 2))
+
+
 def test_search_dedup_and_scalar_closure():
     sols = search_cybe(small_cfg(coeffs=(F(-2), F(1), F(3))))
     keys = [canonical_key(s) for s in sols]
@@ -262,10 +268,10 @@ def test_search_workers_bounded_by_cpu_count(monkeypatch, capsys):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, chunks):
-            chunks = list(chunks)
-            self.chunks = len(chunks)
-            return map(fn, chunks)
+        def map(self, fn, items, chunksize):
+            items = list(items)
+            self.chunks = -(-len(items) // chunksize)
+            return map(fn, items)
 
     monkeypatch.setattr(classify_mod, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(classify_mod.os, "cpu_count", lambda: 3)

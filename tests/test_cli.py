@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import sys
 
 import hypothesis.strategies as st
@@ -218,6 +219,13 @@ def test_help_returns_exit_0(capsys, argv):
     assert code == 0
     assert out.startswith("usage: sv " + " ".join(argv[:-1]).strip())
     assert err == ""
+
+
+@pytest.mark.parametrize("command", ["cojacobi", "certify"])
+def test_spec_options_documented(capsys, command):
+    code, out, _ = invoke(capsys, command, "-h")
+    assert code == 0
+    assert re.search(r"--d CSV\s+six parameters a,a',b,b',g,g'", out)
 
 
 # a value with its spaces and the same value without them; the spaceless
