@@ -26,8 +26,7 @@ operation is a pure function; values can be shared freely across workers.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 _ZERO = Fraction(0)
@@ -103,13 +102,13 @@ def _fits(kind: str, twice: int) -> bool:
     return twice % 2 == (kind == "Y")
 
 
-@functools.total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class BasisVector:
     """One of L_n, Y_p, M_n.  L and M carry integer indices, Y half-odd ones."""
 
-    kind: str
-    index: HalfInt
+    kind: str = field(compare=False)
+    index: HalfInt = field(compare=False)
+    sort_key: tuple[int, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in KIND_RANK:
@@ -117,13 +116,7 @@ class BasisVector:
         if not _fits(self.kind, self.index.twice):
             want = "half-odd" if self.kind == "Y" else "an integer"
             raise ParityError(f"{self.kind} index must be {want}, got {self.index}")
-
-    @property
-    def sort_key(self) -> tuple[int, int]:
-        return (KIND_RANK[self.kind], self.index.twice)
-
-    def __lt__(self, other: "BasisVector") -> bool:
-        return self.sort_key < other.sort_key
+        object.__setattr__(self, "sort_key", (KIND_RANK[self.kind], self.index.twice))
 
     def __str__(self) -> str:
         return f"{self.kind}[{self.index}]"

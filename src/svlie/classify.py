@@ -166,6 +166,8 @@ class SearchConfig:
     def __post_init__(self):
         object.__setattr__(self, "bound", HalfInt.of(self.bound))
         object.__setattr__(self, "coeffs", tuple(_as_frac(c) for c in self.coeffs))
+        if not (isinstance(self.max_terms, int) and isinstance(self.jobs, int)):
+            raise TypeError("max_terms and jobs must be integers")
         if self.max_terms < 1:
             raise ValueError("max_terms must be at least 1")
         if self.jobs < 1:

@@ -61,18 +61,22 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
+def _reason(exc: Exception) -> str:
+    return "zero denominator" if isinstance(exc, ZeroDivisionError) else str(exc)
+
+
 def _halfint(text: str) -> HalfInt:
     try:
         return HalfInt.of(Fraction(text))
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        raise argparse.ArgumentTypeError(_reason(exc)) from None
 
 
 def _coeff_list(text: str) -> tuple[Fraction, ...]:
     try:
         return tuple(Fraction(p.strip()) for p in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"bad coefficient list: {exc}") from None
+        raise argparse.ArgumentTypeError(f"bad coefficient list: {_reason(exc)}") from None
 
 
 @functools.cache
@@ -143,7 +147,7 @@ def _spec_from_args(ns) -> CocommutatorSpec:
     try:
         d = SpecialDerivation.from_csv(ns.d) if ns.d is not None else SpecialDerivation.zero()
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad --d value: {exc}") from None
+        raise UsageError(f"bad --d value: {_reason(exc)}") from None
     return CocommutatorSpec(r, d)
 
 
@@ -185,7 +189,7 @@ def _cmd_cojacobi(ns):
 
 def _load_table(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
             return parse_derivation_table(fh.read())
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None

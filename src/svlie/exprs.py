@@ -207,9 +207,10 @@ def parse_derivation_table(text: str) -> DerivationTable:
         body = raw.split("#", 1)[0]
         if not body.strip():
             continue
+        col = len(body) - len(body.lstrip()) + 1  # the entry's first character
         left, sep, right = body.partition("->")
         if not sep:
-            raise ParseError("expected '<basis> -> <tensor>'", lineno, 1)
+            raise ParseError("expected '<basis> -> <tensor>'", lineno, col)
         ltoks = _tokenize(left, first_line=lineno)
         parser = _Parser(ltoks)
         bv = parser.parse_gen()
@@ -217,6 +218,6 @@ def parse_derivation_table(text: str) -> DerivationTable:
         rtoks = _tokenize(right, first_line=lineno, first_col=len(left) + 3)
         tensor = _Parser(rtoks).parse_value(2)
         if bv in images:
-            raise ParseError(f"duplicate entry for {bv}", lineno, 1)
+            raise ParseError(f"duplicate entry for {bv}", lineno, col)
         images[bv] = tensor
     return DerivationTable(images)

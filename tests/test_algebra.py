@@ -1,3 +1,8 @@
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +21,7 @@ from svlie import (
     bracket_basis,
     is_central,
 )
+from svlie.algebra import KIND_RANK
 
 from gen import elements
 
@@ -226,3 +232,51 @@ def test_basis_window_matches_reference():
     for twice in range(13):
         bound = F(twice, 2)
         assert basis_window(bound) == reference_basis_window(bound), bound
+
+
+# --- the identity BasisVector had before one stored key: equality on
+# (kind, index), order on (KIND_RANK[kind], index.twice)
+
+def reference_eq_key(bv):
+    return (bv.kind, bv.index)
+
+
+def reference_order_key(bv):
+    return (KIND_RANK[bv.kind], bv.index.twice)
+
+
+def test_basis_vector_identity_matches_reference():
+    window = basis_window(4)
+    hits = [bracket_basis(a, b) for a in window for b in window]
+    vectors = window + [hit[1] for hit in hits if hit is not None]
+    for a in vectors:
+        for b in vectors:
+            ka, kb = reference_order_key(a), reference_order_key(b)
+            assert (a == b) == (reference_eq_key(a) == reference_eq_key(b)), (a, b)
+            assert (a < b, a <= b, a > b, a >= b) == (ka < kb, ka <= kb, ka > kb, ka >= kb), (a, b)
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+    assert sorted(vectors) == sorted(vectors, key=reference_order_key)
+    assert sorted(reversed(vectors)) == sorted(vectors, key=reference_order_key)
+
+
+def test_basis_vector_pickle_frozen_and_repr():
+    for bv in (L(1), Y(F(-3, 2)), M(0)):
+        back = pickle.loads(pickle.dumps(bv))
+        assert back == bv and hash(back) == hash(bv) and back.sort_key == bv.sort_key
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        L(1).sort_key = (0, 0)
+    assert repr(L(1)) == "BasisVector(kind='L', index=HalfInt(twice=2))"
+    assert str(Y(F(-3, 2))) == "Y[-3/2]"
+
+
+def test_basis_vector_hash_ignores_hash_seed():
+    code = "from svlie import L; print(hash(L(1)))"
+    outs = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        outs.add(done.stdout)
+    assert len(outs) == 1

@@ -120,6 +120,9 @@ def test_search_empty_coefficients():
 def test_search_coefficients_must_be_exact():
     with pytest.raises(TypeError, match="exact scalar"):
         SearchConfig(1, (0.1,), 1)
+    for args in [(1, (1,), 1.5), (1, (1,), 2, 1.5), (1, (1,), 2.0)]:
+        with pytest.raises(TypeError, match="max_terms and jobs must be integers"):
+            SearchConfig(*args)
     assert small_cfg(coeffs=(1, F(1, 2))).coeffs == (F(1), F(1, 2))
 
 

@@ -155,6 +155,12 @@ def test_derive_check_and_decompose(tmp_path, capsys):
     assert code == 2
     assert "no image" in err
 
+    # a table saved with a UTF-8 byte-order mark reads like the same file without one
+    bom = tmp_path / "bom.txt"
+    bom.write_bytes(b"\xef\xbb\xbf" + table.read_bytes())
+    for argv in (["derive-check"], ["decompose"], ["--format", "json", "derive-check"]):
+        assert invoke(capsys, *argv, str(bom)) == invoke(capsys, *argv, str(table))
+
 
 def test_parse_errors_exit_2(capsys):
     code, _, err = invoke(capsys, "cybe", "Y[1] (x) M[0] - M[0] (x) Y[1]")
@@ -166,6 +172,12 @@ def test_parse_errors_exit_2(capsys):
     code, _, err = invoke(capsys, "cybe", "L[2] (x)")
     assert code == 2
     assert "column 9" in err
+    for argv in (["search", "--window", "1/0", "--coeffs", "1", "--max-terms", "1"],
+                 ["search", "--window", "1", "--coeffs", "1,1/0", "--max-terms", "1"],
+                 ["certify", "--d", "0,0,1/0,0,0,0"]):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and len(err.splitlines()) == 1
+        assert "zero denominator" in err and "Fraction(" not in out + err
 
 
 def test_usage_errors_exit_2(capsys):

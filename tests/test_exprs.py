@@ -149,11 +149,20 @@ def test_parse_derivation_table():
 def test_parse_derivation_table_errors():
     with pytest.raises(ParseError) as err:
         parse_derivation_table("L[0] = 0")
-    assert "->" in str(err.value)
+    assert "->" in str(err.value) and (err.value.line, err.value.col) == (1, 1)
+
+    with pytest.raises(ParseError) as err:
+        parse_derivation_table("L[0] -> 0\n\t M[0] = 0")
+    assert "->" in str(err.value) and (err.value.line, err.value.col) == (2, 3)
 
     with pytest.raises(ParseError) as err:
         parse_derivation_table("L[0] -> 0\nL[0] -> 0\nM[0] -> 0")
-    assert "duplicate" in str(err.value) and err.value.line == 2
+    assert "duplicate" in str(err.value) and (err.value.line, err.value.col) == (2, 1)
+
+    # errors point at the entry's first non-blank character
+    with pytest.raises(ParseError) as err:
+        parse_derivation_table("L[0] -> 0\nM[0] -> 0\n  L[0] -> 0")
+    assert str(err.value) == "line 3, column 3: duplicate entry for L[0]"
 
     with pytest.raises(ParseError) as err:
         parse_derivation_table("L[0] -> 0\nM[0] -> Y[2] (x) M[0]")
