@@ -39,7 +39,6 @@ from .bialgebra import (
     check_cybe,
     check_mybe,
     coboundary_identity_check,
-    cocommutator_apply,
     cojacobi_defect,
     decompose_derivation,
     delta_r,
@@ -47,7 +46,6 @@ from .bialgebra import (
     inner_derivation_table,
     inner_witness_nonzero_degree,
     match_inner_on_generators,
-    special_apply,
     special_derivation_table,
     strip_central_square,
     window_scan_order,
@@ -74,8 +72,6 @@ from .exprs import (
     parse_tensor3,
 )
 from .linalg import (
-    RationalMatrix,
-    TensorWindowBasis,
     invariant_tensors,
     skew_action_space,
 )

@@ -186,9 +186,6 @@ class _Linear:
         """Sorted list of (key, coefficient) pairs."""
         return sorted(self._terms.items(), key=lambda kv: self._sort_key(kv[0]))
 
-    def support(self) -> list:
-        return sorted(self._terms, key=self._sort_key)
-
     def coeff(self, key) -> Fraction:
         return self._terms.get(key, _ZERO)
 

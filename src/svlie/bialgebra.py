@@ -128,14 +128,6 @@ class SpecialDerivation:
         return Tensor2([((_M0, partner), left), ((partner, _M0), right)])
 
 
-def special_apply(d: SpecialDerivation, x) -> Tensor2:
-    """Linear extension of the three defining rules of the family."""
-    acc = Tensor2.zero()
-    for bv, c in _as_element(x)._terms.items():
-        acc = acc + d.apply_basis(bv) * c
-    return acc
-
-
 def delta_r(r: Tensor2, x) -> Tensor2:
     """The coboundary cocommutator of r: x . r."""
     return diag_act2(_as_element(x), r)
@@ -150,10 +142,6 @@ class CocommutatorSpec:
 
     def image_basis(self, bv: BasisVector) -> Tensor2:
         return delta_r(self.r, bv) + self.d.apply_basis(bv)
-
-
-def cocommutator_apply(spec: CocommutatorSpec, x) -> Tensor2:
-    return delta_r(spec.r, x) + special_apply(spec.d, x)
 
 
 def check_cybe(r: Tensor2) -> bool:

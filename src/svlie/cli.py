@@ -74,9 +74,14 @@ def _halfint(text: str) -> HalfInt:
 
 def _coeff_list(text: str) -> tuple[Fraction, ...]:
     try:
-        return tuple(Fraction(p.strip()) for p in text.split(","))
+        coeffs = tuple(Fraction(p.strip()) for p in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad coefficient list: {_reason(exc)}") from None
+    # search prints each coefficient back, so none may pass the int-string limit
+    limit = sys.get_int_max_str_digits()
+    if limit and any(max(abs(c.numerator), c.denominator) >= 10 ** limit for c in coeffs):
+        raise argparse.ArgumentTypeError(f"bad coefficient list: number longer than {limit} digits")
+    return coeffs
 
 
 @functools.cache

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .algebra import GENERATORS, HalfInt, _as_frac, _bump, basis_window
+from .algebra import GENERATORS, HalfInt, _bump, basis_window
 from .tensors import _CLASS_OF_RANK, Tensor2, _act_key, _key_degree, canonical_key
 
 _ZERO = Fraction(0)
@@ -35,7 +35,9 @@ def _rref(rows) -> dict[int, dict[int, Fraction]]:
     """Reduce sparse rows to reduced row echelon form.
 
     Returns pivot column -> its fully reduced row (pivot entry 1).  Rows are
-    dicts column -> Fraction; the input rows are not mutated.
+    dicts column -> Fraction and must store no zero: a stored zero can become
+    the pivot and divide by zero, and an int pivot would divide into a float.
+    The input rows are not mutated.
     """
     pivots: dict[int, dict[int, Fraction]] = {}
     for original in rows:
@@ -95,97 +97,9 @@ def _solve(rows, ncols: int) -> list[Fraction] | None:
     return x
 
 
-class RationalMatrix:
-    """Exact matrix with sparse rows of {column: Fraction}."""
-
-    def __init__(self, nrows: int, ncols: int, rows=None):
-        self.nrows = nrows
-        self.ncols = ncols
-        if rows is None:
-            rows = [{} for _ in range(nrows)]
-        # exact nonzero entries only: no float enters the elimination and no
-        # stored zero becomes a pivot
-        self.rows = [{j: f for j, v in r.items() if (f := _as_frac(v))} for r in rows]
-        if len(self.rows) != nrows:
-            raise ValueError("row count mismatch")
-
-    @classmethod
-    def from_dense(cls, grid) -> "RationalMatrix":
-        rows = []
-        width = len(grid[0]) if grid else 0
-        for r in grid:
-            if len(r) != width:
-                raise ValueError("ragged matrix")
-            rows.append(dict(enumerate(r)))
-        return cls(len(grid), width, rows)
-
-    @classmethod
-    def from_columns(cls, cols: list[list[Fraction]], nrows: int) -> "RationalMatrix":
-        """Columns shorter than `nrows` are zero below their last entry."""
-        rows: list[dict] = [{} for _ in range(nrows)]
-        for j, col in enumerate(cols):
-            if len(col) > nrows:
-                raise ValueError(f"column {j} has {len(col)} entries, more than {nrows} rows")
-            for i, v in enumerate(col):
-                rows[i][j] = v
-        return cls(nrows, len(cols), rows)
-
-    def nullspace(self) -> list[list[Fraction]]:
-        """Basis of the kernel, one vector per free column, in canonical
-        reduced-echelon form (unit entry at the free column)."""
-        return _nullspace(_rref(self.rows), self.ncols)
-
-    def solve(self, rhs) -> list[Fraction] | None:
-        """A solution of Ax = b with free variables at zero, or None."""
-        if len(rhs) != self.nrows:
-            raise ValueError("right-hand side length mismatch")
-        aug = []
-        for row, b in zip(self.rows, rhs):
-            b = _as_frac(b)
-            r = dict(row)
-            if b:
-                r[self.ncols] = b
-            aug.append(r)
-        return _solve(aug, self.ncols)
-
-    def multiply(self, x) -> list[Fraction]:
-        return [sum((v * x[j] for j, v in row.items()), _ZERO) for row in self.rows]
-
-
-class TensorWindowBasis:
-    """Ordered basis of rank-n elementary tensors with all factor indices
-    bounded by N, lexicographic in the basis-vector order."""
-
-    def __init__(self, rank: int, bound):
-        if rank not in (1, 2, 3):
-            raise ValueError("rank must be 1, 2 or 3")
-        self.rank = rank
-        self.bound = HalfInt.of(bound)
-        vs = basis_window(self.bound)
-        self.keys = list(itertools.product(vs, repeat=rank))
-        self.position = {k: i for i, k in enumerate(self.keys)}
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def coords(self, t) -> list[Fraction]:
-        out = [_ZERO] * len(self.keys)
-        for key, c in t._terms.items():
-            if self.rank == 1:
-                key = (key,)
-            pos = self.position.get(key)
-            if pos is None:
-                raise ValueError(f"support of {t} leaves the window {self.bound}")
-            out[pos] = c
-        return out
-
-    def from_coords(self, coords):
-        return _tensor(self.rank, zip(self.keys, coords))
-
-
 def _by_degree(rank: int, bound) -> dict[HalfInt, list[tuple]]:
-    """The keys of `TensorWindowBasis(rank, bound)` grouped by degree, each
-    block in basis order."""
+    """The keys of the given rank with every factor in `basis_window(bound)`,
+    grouped by degree, each block in lexicographic basis order."""
     if rank not in (1, 2, 3):
         raise ValueError("rank must be 1, 2 or 3")
     blocks: dict[HalfInt, list[tuple]] = {}

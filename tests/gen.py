@@ -1,5 +1,6 @@
-"""Shared generators for the test suite: hypothesis strategies plus seeded
-random generators for the counted acceptance runs."""
+"""Shared generators for the test suite: hypothesis strategies, seeded
+random generators for the counted acceptance runs, and exact linear algebra
+on the library's own elimination kernel."""
 
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from svlie import (
     basis_window,
     wedge,
 )
+from svlie.linalg import _nullspace, _rref, _solve
 
 
 def _twices(bound) -> list[int]:
@@ -120,3 +122,35 @@ def rand_special(rng, coeff_bound=3) -> SpecialDerivation:
 def rand_special_skew(rng, coeff_bound=3) -> SpecialDerivation:
     a, b, g = (Fraction(rng.randint(-coeff_bound, coeff_bound)) for _ in range(3))
     return SpecialDerivation(a, -a, b, -b, g, -g)
+
+
+# exact linear algebra through `_rref`, on sparse rows {column: Fraction}
+
+def sparse_rows(grid) -> list[dict]:
+    """Dense rows as the kernel's sparse rows: nonzero Fractions only."""
+    return [{j: Fraction(v) for j, v in enumerate(row) if v} for row in grid]
+
+
+def nullspace(rows, ncols: int) -> list[list[Fraction]]:
+    return _nullspace(_rref(rows), ncols)
+
+
+def solve(rows, ncols: int, rhs) -> list[Fraction] | None:
+    """A solution x of rows . x = rhs with free variables at zero, or None."""
+    aug = []
+    for row, b in zip(rows, rhs, strict=True):
+        aug.append({**row, ncols: Fraction(b)} if b else row)
+    return _solve(aug, ncols)
+
+
+def multiply(rows, x) -> list[Fraction]:
+    return [sum((v * x[j] for j, v in row.items()), Fraction(0)) for row in rows]
+
+
+def in_span(t, vectors) -> bool:
+    """True iff t is a rational combination of `vectors`, all of t's type."""
+    rows: dict = {key: {} for key in t._terms}
+    for j, v in enumerate(vectors):
+        for key, c in v._terms.items():
+            rows.setdefault(key, {})[j] = c
+    return solve(list(rows.values()), len(vectors), [t.coeff(k) for k in rows]) is not None

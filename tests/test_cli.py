@@ -162,7 +162,7 @@ def test_derive_check_and_decompose(tmp_path, capsys):
         assert invoke(capsys, *argv, str(bom)) == invoke(capsys, *argv, str(table))
 
 
-def test_parse_errors_exit_2(capsys):
+def test_parse_errors_exit_2(capsys, monkeypatch):
     code, _, err = invoke(capsys, "cybe", "Y[1] (x) M[0] - M[0] (x) Y[1]")
     assert code == 2
     assert "line 1" in err and "parity" in err
@@ -178,6 +178,14 @@ def test_parse_errors_exit_2(capsys):
         code, out, err = invoke(capsys, *argv)
         assert code == 2 and len(err.splitlines()) == 1
         assert "zero denominator" in err and "Fraction(" not in out + err
+    # search prints its coefficients back, so one past the int-string limit
+    # is refused before the search starts
+    monkeypatch.setattr("svlie.cli.search_cybe", None)
+    code, out, err = invoke(capsys, "search", "--window", "1", "--coeffs", "1e5000",
+                            "--max-terms", "1")
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert f"number longer than {sys.get_int_max_str_digits()} digits" in err
+    assert "set_int_max_str_digits" not in err
 
 
 def test_usage_errors_exit_2(capsys):

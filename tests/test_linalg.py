@@ -7,10 +7,8 @@ from svlie import (
     Element,
     L,
     M,
-    RationalMatrix,
     Tensor2,
     Tensor3,
-    TensorWindowBasis,
     basis_window,
     invariant_tensors,
     is_skew,
@@ -20,9 +18,9 @@ from svlie import (
 )
 
 from svlie.algebra import GENERATORS, _bump, bracket_basis
-from svlie.linalg import _action_rows, _by_degree, _unordered
+from svlie.linalg import _action_rows, _by_degree, _nullspace, _rref, _solve, _unordered
 
-from gen import rand_tensor2
+from gen import in_span, multiply, nullspace, solve, sparse_rows
 
 
 def dense_rref(mat):
@@ -69,11 +67,10 @@ def reference_nullspace(mat):
 
 
 def test_nullspace_examples():
-    assert RationalMatrix.from_dense([[1, 2], [2, 4]]).nullspace() == [[F(-2), F(1)]]
+    assert nullspace(sparse_rows([[1, 2], [2, 4]]), 2) == [[F(-2), F(1)]]
     eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert RationalMatrix.from_dense(eye).nullspace() == []
-    zero = RationalMatrix.from_dense([[0, 0, 0], [0, 0, 0]])
-    assert zero.nullspace() == [
+    assert nullspace(sparse_rows(eye), 3) == []
+    assert nullspace(sparse_rows([[0, 0, 0], [0, 0, 0]]), 3) == [
         [F(1), F(0), F(0)],
         [F(0), F(1), F(0)],
         [F(0), F(0), F(1)],
@@ -85,38 +82,46 @@ def test_nullspace_matches_reference_on_random_matrices():
     for _ in range(300):
         nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
         grid = [[F(rng.randint(-3, 3)) for _ in range(ncols)] for _ in range(nrows)]
-        mat = RationalMatrix.from_dense(grid)
-        got = mat.nullspace()
+        rows = sparse_rows(grid)
+        got = nullspace(rows, ncols)
         assert got == reference_nullspace(grid)
         for v in got:
-            assert all(s == 0 for s in mat.multiply(v))
+            assert all(s == 0 for s in multiply(rows, v))
 
 
 def test_solve_consistent_and_inconsistent():
-    mat = RationalMatrix.from_dense([[2, 0], [0, 3]])
-    assert mat.solve([4, 9]) == [F(2), F(3)]
-    dep = RationalMatrix.from_dense([[1, 2], [2, 4]])
-    assert dep.solve([1, 3]) is None
-    sol = dep.solve([1, 2])
+    diag = sparse_rows([[2, 0], [0, 3]])
+    assert solve(diag, 2, [4, 9]) == [F(2), F(3)]
+    dep = sparse_rows([[1, 2], [2, 4]])
+    assert solve(dep, 2, [1, 3]) is None
+    sol = solve(dep, 2, [1, 2])
     assert sol is not None and sol[0] + 2 * sol[1] == 1
 
 
-def test_rational_matrix_is_exact_at_its_constructor():
+def test_kernel_is_exact_and_leaves_its_rows_unmutated():
     def exact(vectors):
         return all(type(c) is F for v in vectors for c in v)
 
-    null = RationalMatrix(1, 2, [{0: 2, 1: 1}]).nullspace()
+    rows = sparse_rows([[2, 1], [4, 2]])
+    aug = sparse_rows([[3, 1, 1]])
+    before = [dict(r) for r in rows + aug]
+    null = _nullspace(_rref(rows), 2)
     assert null == [[F(-1, 2), F(1)]] and exact(null)
-    sol = RationalMatrix(1, 2, [{0: 3, 1: 1}]).solve([1])
+    sol = _solve(aug, 2)
     assert sol == [F(1, 3), F(0)] and exact([sol])
-    with pytest.raises(TypeError):
-        RationalMatrix(1, 2, [{0: 0.5}])
-    # a stored zero is no pivot
-    assert RationalMatrix(2, 2, [{0: 0, 1: 1}, {}]).nullspace() == [[F(1), F(0)]]
-    # a short column is zero below its entries; a long one has no rows to go to
-    assert RationalMatrix.from_columns([[1], [2, 3]], 2).rows == [{0: 1, 1: 2}, {1: 3}]
-    with pytest.raises(ValueError):
-        RationalMatrix.from_columns([[1, 2, 3]], 2)
+    assert rows + aug == before
+    # sparse rows hold no zero, so none becomes a pivot
+    assert nullspace(sparse_rows([[0, 1], [0, 0]]), 2) == [[F(1), F(0)]]
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_action_rows_meet_the_kernel_contract(rank):
+    # _rref takes rows of nonzero Fractions only
+    folds = [None, _unordered] if rank == 2 else [None]
+    for block in _by_degree(rank, 1).values():
+        for fold in folds:
+            for row in _action_rows(block, fold).values():
+                assert all(type(c) is F and c for c in row.values())
 
 
 def test_solve_random_residual():
@@ -125,25 +130,11 @@ def test_solve_random_residual():
         nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
         grid = [[F(rng.randint(-3, 3)) for _ in range(ncols)] for _ in range(nrows)]
         xstar = [F(rng.randint(-3, 3)) for _ in range(ncols)]
-        mat = RationalMatrix.from_dense(grid)
-        rhs = mat.multiply(xstar)
-        sol = mat.solve(rhs)
+        rows = sparse_rows(grid)
+        rhs = multiply(rows, xstar)
+        sol = solve(rows, ncols, rhs)
         assert sol is not None
-        assert mat.multiply(sol) == rhs
-
-
-def test_tensor_window_basis_round_trip():
-    win = TensorWindowBasis(2, 1)
-    assert len(win) == len(basis_window(1)) ** 2
-    rng = random.Random(3)
-    for _ in range(10):
-        t = rand_tensor2(rng, 1)
-        assert win.from_coords(win.coords(t)) == t
-    with pytest.raises(ValueError):
-        win.coords(Tensor2([((L(5), L(0)), 1)]))
-    win1 = TensorWindowBasis(1, 2)
-    e = Element([(L(1), F(2)), (M(-2), F(-1, 3))])
-    assert win1.from_coords(win1.coords(e)) == e
+        assert multiply(rows, sol) == rhs
 
 
 M0M0 = Tensor2([((M(0), M(0)), 1)])
@@ -160,25 +151,6 @@ def test_invariant_tensors_rank_2_all_windows(bound):
 
 def test_invariant_tensors_rank_3():
     assert invariant_tensors(3, 1) == [Tensor3([((M(0), M(0), M(0)), 1)])]
-
-
-def in_span(t, basis_list):
-    if not basis_list:
-        return t.is_zero
-    support = sorted({k for v in basis_list for k in v._terms}, key=Tensor2._sort_key)
-    pos = {k: i for i, k in enumerate(support)}
-    cols = []
-    for v in basis_list:
-        col = [F(0)] * len(support)
-        for k, c in v._terms.items():
-            col[pos[k]] = c
-        cols.append(col)
-    rhs = [F(0)] * len(support)
-    for k, c in t._terms.items():
-        if k not in pos:
-            return False
-        rhs[pos[k]] = c
-    return RationalMatrix.from_columns(cols, len(support)).solve(rhs) is not None
 
 
 @pytest.mark.parametrize("bound", [0, 1])
