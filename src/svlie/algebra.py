@@ -21,7 +21,7 @@ Coefficients are `fractions.Fraction`, so equality of elements is
 decidable and exact.
 
 Every value in this module is immutable after construction and every
-operation is a pure function; values can be shared freely across workers.
+operation is a pure function.
 """
 
 from __future__ import annotations

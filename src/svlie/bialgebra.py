@@ -95,13 +95,6 @@ class SpecialDerivation:
     def zero(cls) -> "SpecialDerivation":
         return cls(0, 0, 0, 0, 0, 0)
 
-    @classmethod
-    def from_csv(cls, text: str) -> "SpecialDerivation":
-        parts = [p.strip() for p in text.split(",")]
-        if len(parts) != 6:
-            raise ValueError("expected six comma-separated rationals")
-        return cls(*(Fraction(p) for p in parts))
-
     @property
     def is_zero(self) -> bool:
         return not any((self.alpha, self.alpha_dag, self.beta,
@@ -483,6 +476,15 @@ def certify(spec: CocommutatorSpec, window=6) -> CertifyResult:
     remove every L and Y factor; L_n on the remaining M (x) M terms leaves
     only M_0 (x) M_0, and a + a' = 0.  So an r or D outside these shows as a
     non-skew generator image: an image_skew counterexample inside window 2.
+
+    No nonzero D of the skew half is inner, so BialgebraNotCoboundary holds for
+    every finite v in L (x) L.  If D(x) = x . v, only v's degree-0 part acts;
+    say its support has |index| <= K; take |n|, |p| > 2K.  A term a (x) b of v
+    reaches M_0 (x) z under x_n only as [x_n, a] (x) b, with deg a = -n outside
+    v, or as M_0 (x) [x_n, L_0] (M_0 is central): -n L_n, -n M_n or -p Y_p.  So
+    L_n . v has 0 and M_n . v has -n v[M_0 (x) L_0] at M_0 (x) M_n, and Y_p . v
+    has -p v[M_0 (x) L_0] at M_0 (x) Y_p, against D's n alpha + gamma, 2 beta
+    and beta there: alpha = gamma = beta = 0, so D = 0 on the skew half.
     """
     if HalfInt.of(window) < CERTIFY_MIN_WINDOW:
         raise WindowTooSmallError(

@@ -25,15 +25,13 @@ containment are exact inclusions of pair sets, with no linear solve.
 
 `search_cybe` enumerates skew candidates built from elementary wedges with
 bounded indices and bounded term count, filters them through the exact
-Yang-Baxter bracket, and returns one solution per scalar class,
-canonically sorted and independent of the worker count.
+Yang-Baxter bracket in one process, and returns one solution per scalar
+class, canonically sorted.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -156,7 +154,7 @@ def classify_highest(r_p: Tensor2, p) -> set[ClassLabel]:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Window bound, coefficient set, wedge-term budget and worker count."""
+    """Window bound, coefficient set and wedge-term budget; `jobs` changes nothing."""
 
     bound: HalfInt
     coeffs: tuple[Fraction, ...]
@@ -204,22 +202,7 @@ def enumerate_skew_candidates(cfg: SearchConfig) -> list[Tensor2]:
     return sorted(reps, key=canonical_key)
 
 
-def _is_solution(r: Tensor2) -> bool:
-    return yang_baxter_c(r).is_zero
-
-
 def search_cybe(cfg: SearchConfig) -> list[Tensor2]:
-    """All enumerated skew candidates satisfying the Yang-Baxter equation.
-
-    The result is deterministic regardless of `jobs`: the candidate list is
-    fixed and workers only evaluate the exact membership test, one
-    contiguous chunk each.  At most `os.cpu_count()` worker processes start,
-    however large `jobs` is.
-    """
-    cands = enumerate_skew_candidates(cfg)
-    workers = min(cfg.jobs, os.cpu_count() or 1, len(cands))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            flags = pool.map(_is_solution, cands, chunksize=-(-len(cands) // workers))
-            return list(itertools.compress(cands, flags))
-    return [r for r in cands if _is_solution(r)]
+    """All enumerated skew candidates satisfying the Yang-Baxter equation,
+    in canonical order, found in this process whatever `cfg.jobs` is."""
+    return [r for r in enumerate_skew_candidates(cfg) if yang_baxter_c(r).is_zero]

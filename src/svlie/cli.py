@@ -5,7 +5,8 @@ text or, with --format json, a single structured document.  Exit codes:
 0 for success or a positive mathematical answer, 1 for a negative
 mathematical answer (equation violated, axiom failed, no candidate class),
 2 for usage or parse errors.  Identical argument vectors produce
-byte-identical output, including under --jobs > 1.
+byte-identical output.  `search --jobs` is validated and echoed but changes
+nothing: the search runs in one process.
 
 Every option is long except -h, so any other token that starts with a
 single '-' is a value: a signed number, element or tensor, in an option's
@@ -61,27 +62,43 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
-def _reason(exc: Exception) -> str:
-    return "zero denominator" if isinstance(exc, ZeroDivisionError) else str(exc)
+def _rational(text: str) -> Fraction:
+    """One rational option value.  A number past the int-string limit, as
+    written ("111...") or as meant ("1e5000"), could not be printed back,
+    and is refused in the grammar's words."""
+    limit = sys.get_int_max_str_digits()
+    too_long = argparse.ArgumentTypeError(f"number longer than {limit} digits")
+    try:
+        q = Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError("zero denominator") from None
+    except ValueError as exc:
+        # int() refuses a literal past the limit with advice for programmers
+        if limit and sum(c.isdecimal() for c in text) > limit:
+            raise too_long from None
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if limit and max(abs(q.numerator), q.denominator) >= 10 ** limit:
+        raise too_long
+    return q
 
 
 def _halfint(text: str) -> HalfInt:
     try:
-        return HalfInt.of(Fraction(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(_reason(exc)) from None
+        return HalfInt.of(_rational(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _coeff_list(text: str) -> tuple[Fraction, ...]:
-    try:
-        coeffs = tuple(Fraction(p.strip()) for p in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"bad coefficient list: {_reason(exc)}") from None
-    # search prints each coefficient back, so none may pass the int-string limit
-    limit = sys.get_int_max_str_digits()
-    if limit and any(max(abs(c.numerator), c.denominator) >= 10 ** limit for c in coeffs):
-        raise argparse.ArgumentTypeError(f"bad coefficient list: number longer than {limit} digits")
-    return coeffs
+    return tuple(_rational(p) for p in text.split(","))
+
+
+def _derivation(text: str) -> SpecialDerivation:
+    """The six parameters a,a',b,b',g,g' of a family member."""
+    parts = text.split(",")
+    if len(parts) != 6:
+        raise argparse.ArgumentTypeError("expected six comma-separated rationals")
+    return SpecialDerivation(*map(_rational, parts))
 
 
 @functools.cache
@@ -93,7 +110,8 @@ def _build_parser() -> _Parser:
     # the cocommutator Delta_r + D that cojacobi and certify read
     spec = _Parser(add_help=False)
     spec.add_argument("--r", metavar="TENSOR")
-    spec.add_argument("--d", metavar="CSV", help="six parameters a,a',b,b',g,g'")
+    spec.add_argument("--d", type=_derivation, metavar="CSV",
+                      help="six parameters a,a',b,b',g,g'")
     spec.add_argument("--window", type=_halfint, default=HalfInt.of(6))
 
     top = _Parser(prog="sv", parents=[fmt],
@@ -149,11 +167,7 @@ def _spec_from_args(ns) -> CocommutatorSpec:
     if ns.r is None and ns.d is None:
         raise UsageError("at least one of --r and --d is required")
     r = parse_tensor2(ns.r) if ns.r is not None else Tensor2.zero()
-    try:
-        d = SpecialDerivation.from_csv(ns.d) if ns.d is not None else SpecialDerivation.zero()
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad --d value: {_reason(exc)}") from None
-    return CocommutatorSpec(r, d)
+    return CocommutatorSpec(r, ns.d if ns.d is not None else SpecialDerivation.zero())
 
 
 def _cmd_bracket(ns):

@@ -366,6 +366,37 @@ def test_match_inner_none_for_family_directions():
         assert match_inner_on_generators(table, 2) is None
 
 
+def test_no_skew_family_member_is_inner_for_any_v():
+    # certify's lemma: v of degree 0 with support in |index| <= K, and
+    # |n|, |p| > 2K.  At M0 (x) M_n, L_n . v has 0 and M_n . v has -n v[M0 (x) L0];
+    # at M0 (x) Y_p, Y_p . v has -p v[M0 (x) L0].  The family has n a + g, 2b and b.
+    rng = random.Random(10)
+    vs = basis_window(3)
+    pairs = [(a, b) for a in vs for b in vs if a.index.twice + b.index.twice == 0]
+    m0, l0 = M(0), L(0)
+    control = wedge(m0, l0)
+    vees = [control]
+    for _ in range(30):
+        # the keys that the lemma reads, M0 (x) L0 and M0 (x) M0, are always drawn
+        keys = [(m0, l0), (m0, m0)] + rng.sample(pairs, 6)
+        vees.append(t2(*((key, rand_nonzero_coeff(rng)) for key in keys)))
+    for v in vees:
+        w = v.coeff((m0, l0))
+        for n in (7, -8, 11):
+            assert diag_act2(eb(L(n)), v).coeff((m0, M(n))) == 0
+            assert diag_act2(eb(M(n)), v).coeff((m0, M(n))) == -n * w
+        for p in (F(15, 2), F(-17, 2)):
+            assert diag_act2(eb(Y(p)), v).coeff((m0, Y(p))) == -p * w
+    # the control's M_n coefficient grows with n, where the family's 2b is constant
+    assert [diag_act2(eb(M(n)), control).coeff((m0, M(n))) for n in (7, -8, 11)] == [-7, 8, -11]
+    for _ in range(10):
+        d = rand_special_skew(rng)
+        for n in (7, -8, 11):
+            assert d.apply_basis(L(n)).coeff((m0, M(n))) == n * d.alpha + d.gamma
+            assert d.apply_basis(M(n)).coeff((m0, M(n))) == 2 * d.beta
+        assert d.apply_basis(Y(F(15, 2))).coeff((m0, Y(F(15, 2)))) == d.beta
+
+
 def test_match_inner_round_trip():
     v0 = wedge(L(0), M(1))
     table = inner_derivation_table(v0, 2)

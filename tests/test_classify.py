@@ -232,52 +232,6 @@ def test_classify_matches_linear_solve_reference():
     assert v7_dropped
 
 
-def test_search_workers_bounded_by_cpu_count(monkeypatch, capsys):
-    import svlie.classify as classify_mod
-    from svlie.cli import run
-
-    pools = []
-
-    class SerialPool:
-        """Records its worker count and maps in this process."""
-
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
-            self.chunks = 0
-            pools.append(self)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize):
-            items = list(items)
-            self.chunks = -(-len(items) // chunksize)
-            return map(fn, items)
-
-    monkeypatch.setattr(classify_mod, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(classify_mod.os, "cpu_count", lambda: 3)
-    cfg = small_cfg(max_terms=2)
-    serial = search_cybe(cfg)
-    assert pools == []
-    assert search_cybe(SearchConfig(cfg.bound, cfg.coeffs, cfg.max_terms, jobs=100000)) == serial
-    assert [(p.max_workers, p.chunks) for p in pools] == [(3, 3)]
-
-    code = run(["search", "--window", "1", "--coeffs", "-1,0,1", "--max-terms", "1",
-                "--jobs", "100000"])
-    assert code == 0
-    assert capsys.readouterr().out.endswith(
-        "window: 1  coeffs: -1,0,1  max-terms: 1  jobs: 100000\n")
-    assert pools[-1].max_workers == 3
-
-    monkeypatch.setattr(classify_mod.os, "cpu_count", lambda: None)
-    pools.clear()
-    assert search_cybe(SearchConfig(cfg.bound, cfg.coeffs, cfg.max_terms, jobs=8)) == serial
-    assert pools == []
-
-
 def test_wedge_budget_beyond_the_pair_count_costs_nothing():
     # window 0 holds one pair, L[0] ^ M[0]; a larger budget adds no wedge
     one = enumerate_skew_candidates(SearchConfig(0, (1,), 1))

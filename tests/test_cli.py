@@ -1,15 +1,18 @@
+import argparse
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from svlie import SpecialDerivation
-from svlie.cli import run
+from svlie.cli import _derivation, run
 from svlie.exprs import parse_element, parse_source, parse_tensor2
 
 
@@ -116,13 +119,28 @@ def test_search_output_and_determinism(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert "count: 20" in out1
-    assert "window: 1  coeffs: -1,0,1  max-terms: 1  jobs: 1" in out1
-    code3, out3, _ = invoke(capsys, "search", "--window", "1",
-                            "--coeffs", "-1,0,1", "--max-terms", "1",
-                            "--jobs", "2")
-    body1 = out1[:out1.rindex("jobs:")]
-    body3 = out3[:out3.rindex("jobs:")]
-    assert body1 == body3
+    assert out1.endswith("window: 1  coeffs: -1,0,1  max-terms: 1  jobs: 1\n")
+    # --jobs is echoed and changes nothing else, however large
+    for jobs in ("2", "100000"):
+        code, out, _ = invoke(capsys, *argv, "--jobs", jobs)
+        assert code == 0
+        assert out == out1.replace("jobs: 1\n", f"jobs: {jobs}\n")
+
+
+def test_search_runs_in_one_process():
+    # a fresh interpreter, so that only what svlie imports is in sys.modules
+    argv = ["search", "--window", "1", "--coeffs", "-1,0,1", "--max-terms", "2", "--jobs", "4"]
+    script = ("import sys\n"
+              "from svlie.cli import run\n"
+              f"code = run({argv!r})\n"
+              "pools = [m for m in sys.modules\n"
+              "         if m.split('.')[0] in ('multiprocessing', 'concurrent')]\n"
+              "sys.exit(f'exit {code}, loaded {pools}' if code or pools else 0)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith("count: 196\nwindow: 1  coeffs: -1,0,1  max-terms: 2  jobs: 4\n")
 
 
 def test_invariants_command(capsys):
@@ -196,6 +214,10 @@ def test_usage_errors_exit_2(capsys):
                   "--max-terms", "1")[0] == 2
 
 
+# a literal past the int-string limit, which no option value may hold
+_LONG = "1" * max(5000, sys.get_int_max_str_digits() + 1)
+
+
 @pytest.mark.parametrize("argv", [
     ["classify", "0"],
     ["classify", "L[1] (x) L[2]"],
@@ -204,13 +226,22 @@ def test_usage_errors_exit_2(capsys):
     ["invariants", "--rank", "2", "--window", "-1"],
     ["certify", "--r", "L[1] (x) L[-1] - L[-1] (x) L[1]", "--window", "0"],
     ["classify", "L[0] (x) L[2] - L[2] (x) L[0] + L[1] (x) M[0]"],
+    ["certify", "--d", f"{_LONG},0,0,0,0,0", "--window", "2"],
+    ["certify", "--d", "0,0,1,-1,0,0", "--window", _LONG],
+    ["search", "--window", _LONG, "--coeffs", "1", "--max-terms", "1"],
+    ["invariants", "--rank", "2", "--window", _LONG],
 ])
 def test_library_input_errors_exit_2(capsys, argv):
+    limit = sys.get_int_max_str_digits()
+    if any(_LONG in a for a in argv) and not limit:
+        pytest.skip("the int-string limit is off, so the window would be built")
     code, out, err = invoke(capsys, *argv)
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "set_int_max_str_digits" not in err
+    if any(_LONG in a for a in argv):
+        assert err.endswith(f"number longer than {limit} digits\n")
 
 
 def test_classify_names_highest_non_skew_component(capsys):
@@ -356,7 +387,7 @@ def _argvs(draw):
         for option in draw(st.sampled_from([("--r",), ("--d",), ("--r", "--d"), ()])):
             value = draw(_exprs(_TENSORS) if option == "--r"
                          else st.sampled_from(_CSVS) | _csv_junk)
-            parse = parse_tensor2 if option == "--r" else SpecialDerivation.from_csv
+            parse = parse_tensor2 if option == "--r" else _derivation
             argv, parsers = argv + [option, value], parsers + [(parse, value)]
         if not parsers or window not in _GOOD_WINDOWS[command]:
             parsers = None
@@ -371,7 +402,7 @@ def _argvs(draw):
 def _parses(parse, text) -> bool:
     try:
         parse(text)
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, argparse.ArgumentTypeError):
         return False
     return True
 
