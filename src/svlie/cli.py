@@ -62,24 +62,40 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
-def _rational(text: str) -> Fraction:
-    """One rational option value.  A number past the int-string limit, as
-    written ("111...") or as meant ("1e5000"), could not be printed back,
-    and is refused in the grammar's words."""
+def _refuse(text: str, message: str) -> argparse.ArgumentTypeError:
+    """The error for an option value that does not read as a number.  A
+    literal past the int-string limit could not be printed back, and int()
+    refuses it with advice for programmers, so it is refused in the
+    grammar's words."""
     limit = sys.get_int_max_str_digits()
-    too_long = argparse.ArgumentTypeError(f"number longer than {limit} digits")
+    if limit and sum(c.isdecimal() for c in text) > limit:
+        message = f"number longer than {limit} digits"
+    return argparse.ArgumentTypeError(message)
+
+
+def _rational(text: str) -> Fraction:
+    """One rational option value, refused past the int-string limit as
+    written ("111...") or as meant ("1e5000")."""
     try:
         q = Fraction(text)
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError("zero denominator") from None
     except ValueError as exc:
-        # int() refuses a literal past the limit with advice for programmers
-        if limit and sum(c.isdecimal() for c in text) > limit:
-            raise too_long from None
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    if limit and max(abs(q.numerator), q.denominator) >= 10 ** limit:
-        raise too_long
+        raise _refuse(text, str(exc)) from None
+    limit = sys.get_int_max_str_digits()
+    n = max(abs(q.numerator), q.denominator)
+    # 2 ** (3 * limit) < 10 ** limit, so a shorter number needs no power of ten
+    if limit and n.bit_length() > 3 * limit and n >= 10 ** limit:
+        raise argparse.ArgumentTypeError(f"number longer than {limit} digits")
     return q
+
+
+def _integer(text: str) -> int:
+    """One integer option value, by the same limit rule as `_rational`."""
+    try:
+        return int(text)
+    except ValueError:
+        raise _refuse(text, f"invalid int value: {text!r}") from None
 
 
 def _halfint(text: str) -> HalfInt:
@@ -150,12 +166,12 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("search", parents=[fmt], help="brute-force Yang-Baxter solutions")
     p.add_argument("--window", type=_halfint, required=True)
     p.add_argument("--coeffs", type=_coeff_list, required=True, metavar="LIST")
-    p.add_argument("--max-terms", type=int, required=True, metavar="K")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--max-terms", type=_integer, required=True, metavar="K")
+    p.add_argument("--jobs", type=_integer, default=1)
 
     p = sub.add_parser("invariants", parents=[fmt],
                        help="tensors invariant under the whole algebra")
-    p.add_argument("--rank", type=int, required=True, choices=(1, 2, 3))
+    p.add_argument("--rank", type=_integer, required=True, choices=(1, 2, 3))
     p.add_argument("--window", type=_halfint, required=True)
 
     sub.add_parser("certify", parents=[fmt, spec], help="Lie bialgebra certification")

@@ -15,6 +15,7 @@ from svlie import (
     L,
     M,
     ParityError,
+    Tensor2,
     Y,
     basis_window,
     bracket,
@@ -35,6 +36,8 @@ def test_halfint_coercion_and_parity():
     assert HalfInt(4).is_integer and not HalfInt(3).is_integer
     with pytest.raises(ValueError):
         HalfInt.of(F(1, 3))
+    with pytest.raises(TypeError):
+        HalfInt.of("x")
 
 
 def test_halfint_arithmetic_and_order():
@@ -58,6 +61,8 @@ def test_basis_vector_parity_enforced():
             build()
         assert str(exc.value) == message
     assert Y(F(1, 2)).index.twice == 1
+    with pytest.raises(ValueError, match="unknown generator kind 'Q'"):
+        BasisVector("Q", HalfInt(0))
 
 
 def test_basis_vector_order_l_y_m():
@@ -171,6 +176,16 @@ def test_element_canonicalization():
     assert x == Element([(M(2), F(1, 2))])
     assert (x - x).is_zero
     assert str(Element.zero()) == "0"
+    # the operators every linear type shares
+    assert -x == x * -1 == Element([(M(2), F(-1, 2))])
+    assert hash(x) == hash(Element([(M(2), F(1, 2))]))
+    assert repr(x) == "Element(1/2 * M[2])"
+    t = Tensor2([((L(1), M(0)), 1)])
+    assert x != t  # an element and a tensor are never equal, and do not add
+    with pytest.raises(TypeError):
+        x + t
+    with pytest.raises(TypeError):
+        x - t
 
 
 def test_element_rejects_float_scalars():
@@ -178,6 +193,8 @@ def test_element_rejects_float_scalars():
         Element([(L(0), 0.5)])
     with pytest.raises(TypeError):
         0.5 * eb(L(0))
+    with pytest.raises(TypeError):
+        Element([("x", 1)])
 
 
 def reference_bracket_basis(a, b):

@@ -91,6 +91,8 @@ def test_class_label_validation():
         ClassLabel("V7", HalfInt.of(HALF))  # 2p/3 not integral
     with pytest.raises(ValueError):
         ClassLabel("V8", HalfInt.of(HALF))  # missing branch index
+    with pytest.raises(ValueError, match="unknown class family 'V9'"):
+        ClassLabel("V9", HalfInt(0))
     assert str(ClassLabel("V7", HalfInt.of(F(3, 2)))) == "V7"
     assert str(ClassLabel("V8", HalfInt.of(HALF), 2)) == "V8(2)"
 

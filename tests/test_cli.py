@@ -12,7 +12,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from svlie.cli import _derivation, run
+from svlie.cli import _derivation, main, run
 from svlie.exprs import parse_element, parse_source, parse_tensor2
 
 
@@ -20,6 +20,29 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fresh_python(*args):
+    """A new interpreter that imports svlie from this source tree."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_main_exits_with_the_code_of_run(capsys, monkeypatch):
+    # main() is what the installed `sv` script calls
+    for argv, want in [
+        (["bracket", "L[1]", "L[-1]"], (0, "-2 * L[0]\n", "")),
+        (["cybe", "--mybe", "L[1] (x) L[-1] - L[-1] (x) L[1]"], (1, "MYBE: violated\n", "")),
+        (["bracket", "Y[1]", "L[1]"],
+         (2, "", "error: line 1, column 3: parity error: Y index must be half-odd, got 1\n")),
+    ]:
+        monkeypatch.setattr(sys, "argv", ["sv", *argv])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert (exc.value.code, *capsys.readouterr()) == want
+    done = fresh_python("-m", "svlie.cli", "bracket", "L[1]", "L[-1]")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "-2 * L[0]\n", "")
 
 
 def test_cybe_satisfied(capsys):
@@ -136,9 +159,7 @@ def test_search_runs_in_one_process():
               "pools = [m for m in sys.modules\n"
               "         if m.split('.')[0] in ('multiprocessing', 'concurrent')]\n"
               "sys.exit(f'exit {code}, loaded {pools}' if code or pools else 0)\n")
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
+    done = fresh_python("-c", script)
     assert done.returncode == 0, done.stderr
     assert done.stdout.endswith("count: 196\nwindow: 1  coeffs: -1,0,1  max-terms: 2  jobs: 4\n")
 
@@ -179,6 +200,20 @@ def test_derive_check_and_decompose(tmp_path, capsys):
     for argv in (["derive-check"], ["decompose"], ["--format", "json", "derive-check"]):
         assert invoke(capsys, *argv, str(bom)) == invoke(capsys, *argv, str(table))
 
+    # a table's window is the largest bound its entries cover
+    table.write_text("L[0] -> 0\nM[0] -> 0   # centre\n"
+                     "Y[1/2] -> M[0] (x) Y[1/2] - Y[1/2] (x) M[0]\n"
+                     "Y[-1/2] -> M[0] (x) Y[-1/2] - Y[-1/2] (x) M[0]\n")
+    code, out, _ = invoke(capsys, "--format", "json", "derive-check", str(table))
+    assert code == 0 and json.loads(out)["window"] == "1/2"
+    assert invoke(capsys, "decompose", str(table))[0] == 0
+    table.write_text("L[0] -> 0\nM[0] -> 0\n")
+    assert invoke(capsys, "decompose", str(table)) == (0, "zero table: no components\n", "")
+
+    code, out, err = invoke(capsys, "derive-check", str(tmp_path))
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    assert err.startswith(f"error: cannot read {tmp_path}: ")
+
 
 def test_parse_errors_exit_2(capsys, monkeypatch):
     code, _, err = invoke(capsys, "cybe", "Y[1] (x) M[0] - M[0] (x) Y[1]")
@@ -212,6 +247,8 @@ def test_usage_errors_exit_2(capsys):
     assert invoke(capsys, "certify", "--window", "3")[0] == 2  # needs --r or --d
     assert invoke(capsys, "search", "--window", "x", "--coeffs", "1",
                   "--max-terms", "1")[0] == 2
+    assert invoke(capsys, "search", "--window", "1/3", "--coeffs", "1", "--max-terms", "1") == \
+        (2, "", "error: argument --window: 1/3 is not a half-integer\n")
 
 
 # a literal past the int-string limit, which no option value may hold
@@ -230,6 +267,9 @@ _LONG = "1" * max(5000, sys.get_int_max_str_digits() + 1)
     ["certify", "--d", "0,0,1,-1,0,0", "--window", _LONG],
     ["search", "--window", _LONG, "--coeffs", "1", "--max-terms", "1"],
     ["invariants", "--rank", "2", "--window", _LONG],
+    ["search", "--window", "1", "--coeffs", "1", "--max-terms", _LONG],
+    ["search", "--window", "1", "--coeffs", "1", "--max-terms", "1", "--jobs", _LONG],
+    ["invariants", "--rank", _LONG, "--window", "1"],
 ])
 def test_library_input_errors_exit_2(capsys, argv):
     limit = sys.get_int_max_str_digits()
@@ -241,7 +281,7 @@ def test_library_input_errors_exit_2(capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err and "set_int_max_str_digits" not in err
     if any(_LONG in a for a in argv):
-        assert err.endswith(f"number longer than {limit} digits\n")
+        assert err.endswith(f"number longer than {limit} digits\n") and len(err) < 200
 
 
 def test_classify_names_highest_non_skew_component(capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import svlie
 from svlie import (
     Element,
     L,
@@ -112,6 +113,8 @@ def test_kernel_is_exact_and_leaves_its_rows_unmutated():
     assert rows + aug == before
     # sparse rows hold no zero, so none becomes a pivot
     assert nullspace(sparse_rows([[0, 1], [0, 0]]), 2) == [[F(1), F(0)]]
+    # the kernel is the one elimination route: no matrix class is public
+    assert not hasattr(svlie, "RationalMatrix")
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
@@ -151,6 +154,8 @@ def test_invariant_tensors_rank_2_all_windows(bound):
 
 def test_invariant_tensors_rank_3():
     assert invariant_tensors(3, 1) == [Tensor3([((M(0), M(0), M(0)), 1)])]
+    with pytest.raises(ValueError, match="rank must be 1, 2 or 3"):
+        invariant_tensors(4, 1)
 
 
 @pytest.mark.parametrize("bound", [0, 1])
