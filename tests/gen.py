@@ -1,7 +1,14 @@
 """Shared generators for the test suite: hypothesis strategies, seeded
-random generators for the counted acceptance runs, and exact linear algebra
-on the library's own elimination kernel."""
+random generators for the counted acceptance runs, exact linear algebra on
+the library's own elimination kernel, and the reference model.
 
+The model, `R`, is `svbench/reference.py`: a dict-based model of the
+algebra written apart from svlie and importing none of it.  Differential
+tests compare svlie with it through `model`."""
+
+import importlib.util
+import pathlib
+import sys
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -17,6 +24,44 @@ from svlie import (
     wedge,
 )
 from svlie.linalg import _nullspace, _rref, _solve
+
+SVBENCH = pathlib.Path(__file__).resolve().parents[1] / "svbench"
+
+
+def load_svbench(name: str):
+    """Load `svbench/<name>.py` by path, writing no bytecode under svbench/."""
+    spec = importlib.util.spec_from_file_location(f"svbench_{name}", SVBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+R = load_svbench("reference")
+
+
+def model_key(key):
+    """A basis vector as the model's (kind, twice); a tensor key factor by factor."""
+    if isinstance(key, BasisVector):
+        return (key.kind, key.index.twice)
+    return tuple(map(model_key, key))
+
+
+def model(v) -> dict:
+    """An element or tensor as the model's dict, read from its stored terms
+    and not from `terms()`, whose order the tests check against the model."""
+    return {model_key(key): c for key, c in v._terms.items()}
+
+
+def model_order(key):
+    """The model's basis order, L before Y before M, then by index; tensor
+    keys compare factor by factor."""
+    if isinstance(key[0], str):
+        return (R._KIND_ORDER[key[0]], key[1])
+    return tuple(map(model_order, key))
 
 
 def _twices(bound) -> list[int]:

@@ -22,9 +22,8 @@ from svlie import (
     bracket_basis,
     is_central,
 )
-from svlie.algebra import KIND_RANK
 
-from gen import elements
+from gen import R, elements, model_key, model_order
 
 eb = Element.basis
 
@@ -197,84 +196,36 @@ def test_element_rejects_float_scalars():
         Element([("x", 1)])
 
 
-def reference_bracket_basis(a, b):
-    """The structure constants as one branch per kind pair."""
-    ta, tb = a.index.twice, b.index.twice
-    if a.kind == "L":
-        if b.kind == "L":
-            c, kind = F(tb - ta, 2), "L"
-        elif b.kind == "M":
-            c, kind = F(tb, 2), "M"
-        else:
-            c, kind = F(2 * tb - ta, 4), "Y"
-        if not c:
-            return None
-        return c, BasisVector(kind, HalfInt(ta + tb))
-    if b.kind == "L":
-        hit = reference_bracket_basis(b, a)
-        return None if hit is None else (-hit[0], hit[1])
-    if a.kind == "Y" and b.kind == "Y":
-        c = F(tb - ta, 2)
-        if not c:
-            return None
-        return c, BasisVector("M", HalfInt(ta + tb))
-    return None
-
-
-def reference_basis_window(bound):
-    """The window built one kind at a time, with a parity branch per kind."""
-    t = HalfInt.of(bound).twice
-    if t < 0:
-        raise ValueError("window bound must be nonnegative")
-    out = []
-    for kind in ("L", "Y", "M"):
-        if kind == "Y":
-            twices = [k for k in range(-t, t + 1) if k % 2]
-        else:
-            twices = [2 * n for n in range(-(t // 2), t // 2 + 1)]
-        out.extend(BasisVector(kind, HalfInt(k)) for k in twices)
-    return out
-
-
 def test_bracket_basis_matches_reference():
     window = basis_window(4)
     for a in window:
         for b in window:
             got = bracket_basis(a, b)
-            assert got == reference_bracket_basis(a, b), (a, b)
+            want = R.bracket_basis(model_key(a), model_key(b))
+            assert (got and (got[0], model_key(got[1]))) == want, (a, b)
             assert got is None or type(got[0]) is F
 
 
 def test_basis_window_matches_reference():
     for twice in range(13):
-        bound = F(twice, 2)
-        assert basis_window(bound) == reference_basis_window(bound), bound
-
-
-# --- the identity BasisVector had before one stored key: equality on
-# (kind, index), order on (KIND_RANK[kind], index.twice)
-
-def reference_eq_key(bv):
-    return (bv.kind, bv.index)
-
-
-def reference_order_key(bv):
-    return (KIND_RANK[bv.kind], bv.index.twice)
+        want = sorted(R.window(twice), key=model_order)
+        assert [model_key(bv) for bv in basis_window(F(twice, 2))] == want, twice
 
 
 def test_basis_vector_identity_matches_reference():
+    # equality is the model's (kind, twice) pair, order its basis order
     window = basis_window(4)
     hits = [bracket_basis(a, b) for a in window for b in window]
     vectors = window + [hit[1] for hit in hits if hit is not None]
     for a in vectors:
         for b in vectors:
-            ka, kb = reference_order_key(a), reference_order_key(b)
-            assert (a == b) == (reference_eq_key(a) == reference_eq_key(b)), (a, b)
+            ka, kb = model_order(model_key(a)), model_order(model_key(b))
+            assert (a == b) == (model_key(a) == model_key(b)), (a, b)
             assert (a < b, a <= b, a > b, a >= b) == (ka < kb, ka <= kb, ka > kb, ka >= kb), (a, b)
             if a == b:
                 assert hash(a) == hash(b), (a, b)
-    assert sorted(vectors) == sorted(vectors, key=reference_order_key)
-    assert sorted(reversed(vectors)) == sorted(vectors, key=reference_order_key)
+    by_model = sorted(vectors, key=lambda bv: model_order(model_key(bv)))
+    assert sorted(vectors) == sorted(reversed(vectors)) == by_model
 
 
 def test_basis_vector_pickle_frozen_and_repr():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
@@ -7,9 +8,7 @@ import pytest
 from svlie import (
     AxiomReport,
     BIALGEBRA_NOT_COBOUNDARY,
-    CertifyResult,
     CocommutatorSpec,
-    Counterexample,
     DerivationTable,
     Element,
     GENERATORS,
@@ -34,7 +33,6 @@ from svlie import (
     check_mybe,
     coboundary_identity_check,
     cojacobi_defect,
-    cyclic,
     decompose_derivation,
     delta_r,
     diag_act2,
@@ -50,9 +48,11 @@ from svlie import (
     window_scan_order,
     yang_baxter_c,
 )
-from svlie.bialgebra import CERTIFY_MIN_WINDOW
 
 from gen import (
+    R,
+    model,
+    model_key,
     nullspace,
     rand_nonzero_coeff,
     rand_skew,
@@ -70,7 +70,7 @@ def t2(*items):
     return Tensor2(list(items))
 
 
-def test_special_apply_examples():
+def test_apply_basis_examples():
     d = SpecialDerivation(1, -1, 0, 0, 0, 0)
     assert d.apply_basis(L(3)) == t2(((M(0), M(3)), 3), ((M(3), M(0)), -3))
     d2 = SpecialDerivation(0, 0, 1, -1, 0, 0)
@@ -81,7 +81,7 @@ def test_special_apply_examples():
         assert d3.apply_basis(M(0)).is_zero
 
 
-def test_special_apply_y_rule():
+def test_apply_basis_y_rule():
     d = SpecialDerivation(0, 0, F(2, 3), 5, 0, 0)
     assert d.apply_basis(Y(HALF)) == t2(((M(0), Y(HALF)), F(2, 3)), ((Y(HALF), M(0)), 5))
 
@@ -105,7 +105,7 @@ def test_delta_r_examples():
         assert is_skew(delta_r(s, eb(rng.choice(basis_window(3)))))
 
 
-def test_cocommutator_apply_examples():
+def test_image_basis_examples():
     spec = CocommutatorSpec(Tensor2.zero(), SpecialDerivation(0, 0, 1, -1, 0, 0))
     assert spec.image_basis(Y(HALF)) == wedge(M(0), Y(HALF))
     spec2 = CocommutatorSpec(wedge(M(0), M(1)), SpecialDerivation.zero())
@@ -502,68 +502,47 @@ def test_certify_mixed_r_and_d():
     assert res.report.image_skew and res.report.compatibility
 
 
-def reference_check_axioms(subject, window) -> AxiomReport:
-    """Plain per-pair axiom checks that recompute every image they use;
-    the reference check_axioms must agree with."""
-    bound = HalfInt.of(window)
-    scan = window_scan_order(bound)
-    if isinstance(subject, DerivationTable):
-        for bv in scan:
-            if subject.image(bv) is None:
-                raise WindowTooSmallError(f"no image for {bv} inside window {bound}")
-        delta = subject.image
-    else:
-        delta = subject.image_basis
-    failures = []
+def model_delta(subject):
+    """The model's images of a spec, or a table's images as model dicts."""
+    if isinstance(subject, CocommutatorSpec):
+        return R.Cocommutator(model(subject.r), dataclasses.astuple(subject.d))
+    return {model_key(bv): model(img) for bv, img in subject.items()}.get
 
-    image_skew = True
-    for bv in scan:
-        img = delta(bv)
-        if not is_skew(img):
-            image_skew = False
-            failures.append(Counterexample("image_skew", (bv,), img))
-            break
 
-    co_jacobi = True
-    for bv in scan:
-        img = delta(bv)
-        parts = {b: delta(b) for (_, b) in img._terms}
-        if any(p is None for p in parts.values()):
-            continue
-        w = Tensor3.zero()
-        for (a, b), c in img._terms.items():
-            w = w + Tensor3([((a, u, v), c * c2) for (u, v), c2 in parts[b]._terms.items()])
-        cw = cyclic(w)
-        defect = w + cw + cyclic(cw)
-        if not defect.is_zero:
-            co_jacobi = False
-            failures.append(Counterexample("co_jacobi", (bv,), defect))
-            break
+def _checkable(delta, axiom: str, inputs: tuple) -> bool:
+    """Whether `delta` has every image the model needs for `axiom` at
+    `inputs`; a table has none outside its entries, and check_axioms skips
+    such inputs."""
+    if axiom == "co_jacobi":
+        return all(delta(b) is not None for _, b in delta(inputs[0]))
+    if axiom == "compatibility":
+        hit = R.bracket_basis(*inputs)
+        return hit is None or delta(hit[1]) is not None
+    return True
 
-    compatibility = True
-    done = False
-    for i, x in enumerate(scan):
-        if done:
-            break
-        for y in scan[i + 1:]:
-            hit = bracket_basis(x, y)
-            if hit is None:
-                lhs = Tensor2.zero()
-            else:
-                c, z = hit
-                img = delta(z)
-                if img is None:
-                    continue
-                lhs = img * c
-            defect = lhs - diag_act2(eb(x), delta(y)) + diag_act2(eb(y), delta(x))
-            if not defect.is_zero:
-                compatibility = False
-                failures.append(Counterexample("compatibility", (x, y), defect))
-                done = True
-                break
 
-    return AxiomReport(image_skew, co_jacobi, compatibility,
-                       failures[0] if failures else None)
+def model_first_failure(delta, axiom: str, window):
+    """The first input in check_axioms' scan order (pairs in combinations
+    order) at which the model says `axiom` fails, or None."""
+    scan = [model_key(bv) for bv in window_scan_order(window)]
+    inputs = itertools.combinations(scan, 2) if axiom == "compatibility" else [(x,) for x in scan]
+    return next((args for args in inputs
+                 if _checkable(delta, axiom, args) and R.axiom_fails(delta, axiom, args)), None)
+
+
+def assert_model_report(report: AxiomReport, delta, window, axioms) -> None:
+    """Each flag of `axioms` is the model's, and the counterexample is the
+    model's first failure of the first failing axiom, with its value."""
+    firsts = {axiom: model_first_failure(delta, axiom, window) for axiom in axioms}
+    assert [getattr(report, axiom) for axiom in axioms] == [a is None for a in firsts.values()]
+    failed = [(axiom, args) for axiom, args in firsts.items() if args is not None]
+    cx = report.counterexample
+    if not failed:
+        assert cx is None
+        return
+    axiom, args = failed[0]
+    assert (cx.axiom, model_key(cx.inputs)) == (axiom, args)
+    assert model(cx.value) == R.axiom_value(delta, axiom, args)
 
 
 def _square_table(window) -> DerivationTable:
@@ -602,10 +581,11 @@ def _differential_subjects():
 def test_check_axioms_matches_reference_loop():
     seen = set()
     for subject, window in _differential_subjects():
-        fast = check_axioms(subject, window)
-        assert fast == reference_check_axioms(subject, window)
-        if fast.counterexample is not None:
-            seen.add(fast.counterexample.axiom)
+        report = check_axioms(subject, window)
+        assert_model_report(report, model_delta(subject), window,
+                            ("image_skew", "co_jacobi", "compatibility"))
+        if report.counterexample is not None:
+            seen.add(report.counterexample.axiom)
     assert seen == {"image_skew", "co_jacobi", "compatibility"}
 
 
@@ -686,27 +666,6 @@ def test_cojacobi_obstruction_is_a_cocycle():
     assert nonzero
 
 
-def reference_certify(spec: CocommutatorSpec, window=6) -> CertifyResult:
-    """certify as it was when it ran all of check_axioms and then two gates
-    on r and the parameters; the reference certify must agree with."""
-    if HalfInt.of(window) < CERTIFY_MIN_WINDOW:
-        raise WindowTooSmallError(
-            f"certify needs a window of at least {CERTIFY_MIN_WINDOW} to hold the "
-            f"generators L[+-1], L[+-2], Y[1/2]; got {HalfInt.of(window)}")
-    report = check_axioms(spec, window)
-    if not report.all_ok:
-        return CertifyResult(NOT_BIALGEBRA, str(report.counterexample), report)
-    r_skew = strip_central_square(spec.r)
-    if not is_skew(r_skew):
-        return CertifyResult(NOT_BIALGEBRA, "r is not skew modulo M[0] (x) M[0]", report)
-    if not spec.d.is_skew_family:
-        return CertifyResult(
-            NOT_BIALGEBRA, "parameter part lies outside the skew half of the family", report)
-    if spec.d.is_zero and check_cybe(r_skew):
-        return CertifyResult(TRIANGULAR_COBOUNDARY, None, report)
-    return CertifyResult(BIALGEBRA_NOT_COBOUNDARY, None, report)
-
-
 def _certify_specs(n, seed) -> list[CocommutatorSpec]:
     # five shapes in turn: a non-skew r; a skew r with any family member; a
     # skew r on window 2 with a skew family member; and two with r on the
@@ -741,7 +700,17 @@ def test_certify_matches_reference_certify():
     for window, n in ((2, 40), (6, 40), (10, 5)):
         for spec in _certify_specs(n, 31 + window):
             res = certify(spec, window)
-            assert res == reference_certify(spec, window)
+            # NotBialgebra at the model's first image-skew, then co-Jacobi,
+            # failure; else triangular exactly when D = 0 and c(r) = 0
+            delta = model_delta(spec)
+            assert_model_report(res.report, delta, window, ("image_skew", "co_jacobi"))
+            if not res.report.all_ok:
+                assert (res.verdict, res.reason) == (NOT_BIALGEBRA, str(res.report.counterexample))
+            elif not any(delta.d) and not R.yang_baxter(R.without_central_square(delta.r)):
+                assert (res.verdict, res.reason) == (TRIANGULAR_COBOUNDARY, None)
+            else:
+                assert (res.verdict, res.reason) == (BIALGEBRA_NOT_COBOUNDARY, None)
+            assert res.report.compatibility
             verdicts.add(res.verdict)
             if res.report.counterexample is not None:
                 kinds.add(res.report.counterexample.axiom)

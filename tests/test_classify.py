@@ -27,7 +27,7 @@ from svlie import (
     wedge,
 )
 
-from gen import in_span
+from gen import R, model
 
 HALF = F(1, 2)
 
@@ -142,7 +142,7 @@ def test_search_dedup_and_scalar_closure():
         assert check_cybe(-1 * a)
 
 
-def test_search_deterministic_across_workers():
+def test_search_deterministic_across_jobs():
     cfg1 = small_cfg(max_terms=2)
     cfg2 = SearchConfig(cfg1.bound, cfg1.coeffs, cfg1.max_terms, jobs=2)
     assert search_cybe(cfg1) == search_cybe(cfg2)
@@ -175,43 +175,6 @@ def test_sweep_documents_taxonomy_gap():
     assert any(r == mixed or r == -1 * mixed for r in gaps)
 
 
-def _reference_spans(p, r_p):
-    out = []
-    if p.is_integer:
-        ll, ml = wedge(L(p), L(0)), wedge(M(0), L(p))
-        lm, mm = wedge(L(0), M(p)), wedge(M(0), M(p))
-        out += [(ClassLabel("V1", p), [ll, ml]), (ClassLabel("V2", p), [ll, lm]),
-                (ClassLabel("V3", p), [ml, mm]), (ClassLabel("V4", p), [lm, mm])]
-        js = sorted({key[0].index for key in r_p._terms
-                     if key[0].kind == "M" and key[1].kind == "M"})
-        out.append((ClassLabel("V5", p), [wedge(M(j), M(p - j)) for j in js]))
-    else:
-        out.append((ClassLabel("V6", p), [wedge(L(0), Y(p)), wedge(M(0), Y(p))]))
-        if p.twice % 3 == 0:
-            i7, third = HalfInt(p.twice // 3 * 2), HalfInt(p.twice // 3)
-            out.append((ClassLabel("V7", p), [wedge(L(i7), Y(third)), wedge(M(i7), Y(third))]))
-        i_vals = sorted({key[0].index for key in r_p._terms
-                         if key[0].kind == "M" and key[1].kind == "Y"})
-        for i in i_vals:
-            out.append((ClassLabel("V8", p, i.twice // 2), [wedge(M(i), Y(p - i))]))
-    return out
-
-
-def reference_classify_highest(r_p, p):
-    """The classifier by exact linear solves: a span matches when r_p solves
-    into it, and one span lies in another when each of its vectors does."""
-    p = HalfInt.of(p)
-
-    def contained(inner, outer):
-        return all(v.is_zero or in_span(v, outer) for v in inner)
-
-    matched = [(la, span) for la, span in _reference_spans(p, r_p) if in_span(r_p, span)]
-    keep = {la for la, sa in matched
-            if not any(lb != la and contained(sb, sa) and not contained(sa, sb)
-                       for lb, sb in matched)}
-    return keep or {ClassLabel(NOT_CANDIDATE, p)}
-
-
 def test_classify_matches_linear_solve_reference():
     cfg = SearchConfig(HalfInt.of(2), (F(-2), F(-1), F(1), F(2)), 2)
     tops = {}
@@ -222,11 +185,12 @@ def test_classify_matches_linear_solve_reference():
     seen = set()
     v7_dropped = 0
     for p, top in tops.values():
-        got = classify_highest(top, p)
-        assert got == reference_classify_highest(top, p), top
-        seen.add(tuple(names(got)))
-        v7_dropped += "V7" not in names(got) and any(
-            la.family == "V7" and in_span(top, span) for la, span in _reference_spans(p, top))
+        got = names(classify_highest(top, p))
+        assert got == R.classify_top(model(top)), top
+        seen.add(tuple(got))
+        support = {frozenset(key) for key in model(top)}
+        v7_dropped += "V7" not in got and any(
+            label == "V7" and support <= pairs for label, pairs in R._spans(p.twice, support))
     # coinciding V1..V4 at p = 0, V5, V7, V8 and NotCandidate all occur, and
     # some tops in V7 are reported as the smaller V8 alone
     assert {("V1", "V2", "V3", "V4"), ("V5",), ("V7",), ("V8(0)",),
