@@ -10,7 +10,9 @@ nothing: the search runs in one process.
 
 Every option is long except -h, so any other token that starts with a
 single '-' is a value: a signed number, element or tensor, in an option's
-value or a positional alike.
+value or a positional alike.  A number option reads its value by the
+grammar's rational rule (see `exprs`), so `0.5`, `+2` and `1e5000` are
+refused with the column of the offending character.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ from .bialgebra import (
 from .classify import (NOT_CANDIDATE, SearchConfig, _require_skew, classify_highest,
                        highest_component, search_cybe)
 from .exprs import (
+    ParseError,
+    _read_rational,
     format as format_value,
     parse_derivation_table,
     parse_element,
@@ -62,40 +66,21 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
-def _refuse(text: str, message: str) -> argparse.ArgumentTypeError:
-    """The error for an option value that does not read as a number.  A
-    literal past the int-string limit could not be printed back, and int()
-    refuses it with advice for programmers, so it is refused in the
-    grammar's words."""
-    limit = sys.get_int_max_str_digits()
-    if limit and sum(c.isdecimal() for c in text) > limit:
-        message = f"number longer than {limit} digits"
-    return argparse.ArgumentTypeError(message)
-
-
-def _rational(text: str) -> Fraction:
-    """One rational option value, refused past the int-string limit as
-    written ("111...") or as meant ("1e5000")."""
+def _rational(text: str, first_col: int = 1) -> Fraction:
+    """One option value by the grammar's rational rule; `first_col` is the
+    column of its first character within the whole option value."""
     try:
-        q = Fraction(text)
-    except ZeroDivisionError:
-        raise argparse.ArgumentTypeError("zero denominator") from None
-    except ValueError as exc:
-        raise _refuse(text, str(exc)) from None
-    limit = sys.get_int_max_str_digits()
-    n = max(abs(q.numerator), q.denominator)
-    # 2 ** (3 * limit) < 10 ** limit, so a shorter number needs no power of ten
-    if limit and n.bit_length() > 3 * limit and n >= 10 ** limit:
-        raise argparse.ArgumentTypeError(f"number longer than {limit} digits")
-    return q
+        return _read_rational(text, first_col)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(f"column {exc.col}: {exc.message}") from None
 
 
 def _integer(text: str) -> int:
-    """One integer option value, by the same limit rule as `_rational`."""
-    try:
-        return int(text)
-    except ValueError:
-        raise _refuse(text, f"invalid int value: {text!r}") from None
+    """One integer option value: a rational with denominator 1."""
+    q = _rational(text)
+    if q.denominator != 1:
+        raise argparse.ArgumentTypeError(f"{q} is not an integer")
+    return q.numerator
 
 
 def _halfint(text: str) -> HalfInt:
@@ -106,15 +91,19 @@ def _halfint(text: str) -> HalfInt:
 
 
 def _coeff_list(text: str) -> tuple[Fraction, ...]:
-    return tuple(_rational(p) for p in text.split(","))
+    """Comma-separated rationals; columns count from the start of `text`."""
+    values, col = [], 1
+    for part in text.split(","):
+        values.append(_rational(part, col))
+        col += len(part) + 1
+    return tuple(values)
 
 
 def _derivation(text: str) -> SpecialDerivation:
     """The six parameters a,a',b,b',g,g' of a family member."""
-    parts = text.split(",")
-    if len(parts) != 6:
+    if text.count(",") != 5:
         raise argparse.ArgumentTypeError("expected six comma-separated rationals")
-    return SpecialDerivation(*map(_rational, parts))
+    return SpecialDerivation(*_coeff_list(text))
 
 
 @functools.cache
@@ -171,7 +160,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("invariants", parents=[fmt],
                        help="tensors invariant under the whole algebra")
-    p.add_argument("--rank", type=_integer, required=True, choices=(1, 2, 3))
+    p.add_argument("--rank", type=_integer, required=True, metavar="{1,2,3}")
     p.add_argument("--window", type=_halfint, required=True)
 
     sub.add_parser("certify", parents=[fmt, spec], help="Lie bialgebra certification")

@@ -16,8 +16,9 @@ inside the brackets.  The "*" between a scalar and its generator is
 mandatory.  Parsing and formatting are mutually inverse on canonical values.
 Every malformed input, a number past the int-string limit included, raises
 `ParseError` with its line and column, and `format` holds its output to the
-same limit.  `parse_source` takes its rank from the factors of the first
-term.
+same limit.  The rational rule also reads every number option of `sv`, one
+whole option value at a time (`_read_rational`).  `parse_source` takes its
+rank from the factors of the first term.
 """
 
 from __future__ import annotations
@@ -156,6 +157,15 @@ class _Parser:
             return BasisVector(name.text, index)
         except ParityError as exc:
             raise ParseError(f"parity error: {exc}", itok.line, itok.col) from None
+
+
+def _read_rational(text: str, first_col: int = 1) -> Fraction:
+    """The whole of `text` as one rational, its first character at column
+    `first_col`: how `sv` reads a number option."""
+    parser = _Parser(_tokenize(text, first_col=first_col))
+    value = parser.parse_rational()
+    parser.expect("END", "end of the number")
+    return value
 
 
 def parse_element(text: str) -> Element:

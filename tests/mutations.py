@@ -27,6 +27,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 ALGEBRA = "src/svlie/algebra.py"
 BIALGEBRA = "src/svlie/bialgebra.py"
 CLASSIFY = "src/svlie/classify.py"
+CLI = "src/svlie/cli.py"
+EXPRS = "src/svlie/exprs.py"
 
 BRACKETS = "The brackets are one six-row table."
 SORT_KEY = "A basis vector is compared, hashed and sorted by one stored key."
@@ -37,6 +39,13 @@ CLASSIFY_BY_PAIRS = ("One degree-blocked action-row builder for the three window
 TABLES = ("A derivation table is its images: `DerivationTable(images)` is the one "
           "constructor, and the window comes from the entries.")
 ONE_ORACLE = "One oracle for the differential tests."
+LIBRARY = ("The library is what its callers use: five names that only tests called "
+           "leave `src/svlie`, and the tests solve through the one elimination kernel.")
+ONE_PROCESS = ("The search runs in one process: the process pool leaves `classify`, "
+               "and importing svlie no longer loads `multiprocessing`.")
+CONTRACT = ("The `sv` contract is tested once, in tier-1; the CI \"sv entry point\" "
+            "step is a four-line smoke test of the installed script.")
+NUMBERS = "`sv` reads every number option by the grammar's rational rule."
 
 # (file, old text, new text, test file that must fail, CHANGES.md entry)
 MUTATIONS = [
@@ -72,6 +81,19 @@ MUTATIONS = [
      "tests/test_tensors.py", ONE_ORACLE),
     (ALGEBRA, '("L", "Y"): ("Y", -1, 2)', '("L", "Y"): ("Y", -1, 1)',
      "tests/test_linalg.py", ONE_ORACLE),
+    (BIALGEBRA, "DerivationTable({**zero, **images})", "DerivationTable(images)",
+     "tests/test_bialgebra.py", TABLES),
+    (ALGEBRA, '("L", "M"): ("M", 0, 2)', '("L", "M"): ("M", 1, 2)',
+     "tests/test_bialgebra.py", ONE_PROCESS),
+    (ALGEBRA, '("M", "L"): ("M", -2, 0)', '("M", "L"): ("M", 0, 2)',
+     "tests/test_bialgebra.py", ONE_PROCESS),
+    (CLI, "    sys.exit(run())", "    run()", "tests/test_cli.py", CONTRACT),
+    (BIALGEBRA, "    def image_basis(self", "    def image_of_basis(self",
+     "tests/test_tracer.py", LIBRARY),
+    (EXPRS, '    parser.expect("END", "end of the number")\n', "",
+     "tests/test_cli.py", NUMBERS),
+    (CLI, "_read_rational(text, first_col)", "_read_rational(text)",
+     "tests/test_cli.py", NUMBERS),
 ]
 
 # pytest's exit codes for failed tests and for a collection error

@@ -231,13 +231,13 @@ def test_parse_errors_exit_2(capsys, monkeypatch):
         code, out, err = invoke(capsys, *argv)
         assert code == 2 and len(err.splitlines()) == 1
         assert "zero denominator" in err and "Fraction(" not in out + err
-    # search prints its coefficients back, so one past the int-string limit
-    # is refused before the search starts
+    # search prints its coefficients back; 1e5000 means a number past the
+    # int-string limit, and is refused at its 'e' before the search starts
     monkeypatch.setattr("svlie.cli.search_cybe", None)
     code, out, err = invoke(capsys, "search", "--window", "1", "--coeffs", "1e5000",
                             "--max-terms", "1")
     assert code == 2 and out == "" and len(err.splitlines()) == 1
-    assert f"number longer than {sys.get_int_max_str_digits()} digits" in err
+    assert "column 2" in err and "'e'" in err
     assert "set_int_max_str_digits" not in err
 
 
@@ -251,8 +251,20 @@ def test_usage_errors_exit_2(capsys):
         (2, "", "error: argument --window: 1/3 is not a half-integer\n")
 
 
-# a literal past the int-string limit, which no option value may hold
+# a literal past the int-string limit, which no option value may hold, and
+# the longest integer an option value may hold
 _LONG = "1" * max(5000, sys.get_int_max_str_digits() + 1)
+_NINES = "9" * (sys.get_int_max_str_digits() or 4300)
+# how a line refusing one of these option values ends
+_REFUSALS = {
+    "1e5000": "column 2: unexpected character 'e'",
+    "0.5": "column 2: unexpected character '.'",
+    "x" * 5000: "column 1: unexpected character 'x'",
+    _NINES: "rank must be 1, 2 or 3",
+    "1,2,x": "column 5: unexpected character 'x'",
+    "1-2": "column 2: expected end of the number, found '-'",
+    "1/2": "1/2 is not an integer",
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -270,6 +282,14 @@ _LONG = "1" * max(5000, sys.get_int_max_str_digits() + 1)
     ["search", "--window", "1", "--coeffs", "1", "--max-terms", _LONG],
     ["search", "--window", "1", "--coeffs", "1", "--max-terms", "1", "--jobs", _LONG],
     ["invariants", "--rank", _LONG, "--window", "1"],
+    ["search", "--window", "1e5000", "--coeffs", "1", "--max-terms", "1"],
+    ["search", "--window", "1", "--coeffs", "0.5", "--max-terms", "1"],
+    ["search", "--window", "x" * 5000, "--coeffs", "1", "--max-terms", "1"],
+    ["invariants", "--rank", _NINES, "--window", "1"],
+    ["search", "--window", "1", "--coeffs", "1,2,x", "--max-terms", "1"],
+    ["search", "--window", "1", "--coeffs", "1-2", "--max-terms", "1"],
+    ["search", "--window", "1", "--coeffs", "1", "--max-terms", "1/2"],
+    ["search", "--window", "1", "--coeffs", _LONG, "--max-terms", "1"],
 ])
 def test_library_input_errors_exit_2(capsys, argv):
     limit = sys.get_int_max_str_digits()
@@ -278,10 +298,15 @@ def test_library_input_errors_exit_2(capsys, argv):
     code, out, err = invoke(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and len(err) < 200
     assert "Traceback" not in err and "set_int_max_str_digits" not in err
+    # the line quotes at most one character of any value
+    assert all(len(quoted) <= 1 for quoted in re.findall(r"'([^']*)'", err)), err
     if any(_LONG in a for a in argv):
-        assert err.endswith(f"number longer than {limit} digits\n") and len(err) < 200
+        assert err.endswith(f"number longer than {limit} digits\n")
+    for value in argv:
+        if value in _REFUSALS:
+            assert err.endswith(_REFUSALS[value] + "\n"), err
 
 
 def test_classify_names_highest_non_skew_component(capsys):
